@@ -1,12 +1,19 @@
 """Finite-window decision procedures for phase-space invertibility.
 
 A rule pair (C, G) is checked over a finite test window T whose shape
-depends on the update scheme.  Window assignments ``Q^T`` are enumerated
-as mixed-radix integers with the lexicographically first cell as the most
+depends on the update scheme.  Window assignments ``Q^T`` are ordered as
+mixed-radix integers with the lexicographically first cell as the most
 significant digit, so integer order equals lexicographic window order and
-the least violation is well defined.  Enumeration is chunked, evaluated
-with numpy table lookups, and reduced with a deterministic minimum, which
-makes reports identical for every chunk size and worker count.
+the least violation is well defined.
+
+The purely check enumerates all q^|T| assignments in chunks, evaluated
+with numpy table lookups and reduced with a deterministic minimum, which
+makes reports identical for every chunk size and worker count.  The fully
+check (d = 1) never enumerates: every clause reads blocks of
+k = span(N ∪ {0}) consecutive cells, so it sweeps the de Bruijn graph of
+width k in O(|T|·q^k) steps (Sutner, Complex Systems 5, 1991) and finds
+the same least violation; its ``stats.windows`` is still the logical
+count q^|T|, and it ignores ``workers`` and ``chunk_size``.
 
 Clause identifiers carried by witnesses:
 
@@ -354,54 +361,36 @@ def check_inverse_purely(
     return DecisionReport(Verdict.INVERTIBLE, G, None, stats)
 
 
-def _fully_flip_chunk(space, offsets, dtab, gtab, lo, hi):
-    """Least single-cell-flip violation per direction in [lo, hi)."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    dig = _DigitCache(space, idx)
-    origin = (0,)
-    c0 = dig(origin)
-    base = _local_index(space, dig, origin, offsets)
-    out = []
-    for tab1, tab2 in ((dtab, gtab), (gtab, dtab)):
-        stepped = tab1[base]
-        flipped = stepped != c0
-        if not flipped.any():
-            out.append(None)
-            continue
-        back = tab2[_local_index(space, dig, origin, offsets, {origin: stepped})]
-        viol = flipped & (back != c0)
-        out.append(int(idx[int(np.argmax(viol))]) if viol.any() else None)
-    return out[0], out[1]
-
-
-def _fully_fixpoint_chunk(space, offsets, candidates, dtab, gtab, lo, hi):
-    """Least fixed-point violation per direction in [lo, hi).
-
-    A window fixed at cell 0 by one rule must be fixed at some candidate
-    cell by the other rule.
+def _least_path(q: int, k: int, allowed: list[list[bool]]) -> list[int] | None:
+    """Least word (first letter most significant) whose i-th k-letter
+    block b satisfies ``allowed[i][b]``, blocks read in mixed radix; None
+    if there is none.  A word is a path in the de Bruijn graph of width k
+    (state: the last k - 1 letters).  A backward pass marks the states from
+    which the remaining blocks can be completed, and a greedy forward pass
+    takes the least letter that keeps the path completable.
     """
-    idx = np.arange(lo, hi, dtype=np.int64)
-    dig = _DigitCache(space, idx)
-    origin = (0,)
-    c0 = dig(origin)
-    base = _local_index(space, dig, origin, offsets)
-    out = []
-    for tab1, tab2 in ((dtab, gtab), (gtab, dtab)):
-        fixed = tab1[base] == c0
-        sub = idx[fixed]
-        if sub.size == 0:
-            out.append(None)
+    span = q ** (k - 1)
+    feasible = [[True] * span]
+    last, settled = None, False
+    for ok in reversed(allowed):
+        after = feasible[-1]
+        if ok is last and settled:
+            # the same step already mapped ``after`` to itself
+            feasible.append(after)
             continue
-        sdig = _DigitCache(space, sub)
-        ok = np.zeros(sub.size, dtype=bool)
-        for a in candidates:
-            cell_a = (a,)
-            L = _local_index(space, sdig, cell_a, offsets)
-            ok |= tab2[L] == sdig(cell_a)
-            if ok.all():
-                break
-        out.append(None if ok.all() else int(sub[int(np.argmax(~ok))]))
-    return out[0], out[1]
+        now = [any(ok[b] and after[b % span] for b in range(s * q, s * q + q)) for s in range(span)]
+        last, settled = ok, now == after
+        feasible.append(now)
+    feasible.reverse()
+    state = next((s for s in range(span) if feasible[0][s]), None)
+    if state is None:
+        return None
+    word = [(state // q ** (k - 2 - i)) % q for i in range(k - 1)]
+    for i, ok in enumerate(allowed):
+        b = next(b for b in range(state * q, state * q + q) if ok[b] and feasible[i + 1][b % span])
+        word.append(b % q)
+        state = b % span
+    return word
 
 
 def check_inverse_fully_1d(
@@ -417,51 +406,54 @@ def check_inverse_fully_1d(
     Four clauses over every window w of the test cells: a flip at 0 by
     either rule is undone by the other at 0 (eq1-forward / eq1-backward),
     and a window fixed at 0 by either rule is fixed at some candidate cell
-    by the other (eq2-delta / eq2-gamma).  The flip clauses are swept
-    first; the fixed-point sweep runs only when they hold everywhere.
+    by the other (eq2-delta / eq2-gamma).  The first violated clause, in
+    that order, is reported with its least window.  A clause constrains
+    the block of k = span(N ∪ {0}) cells around each candidate (eq1 only
+    the one around 0), so ``_least_path`` decides it in O(|T|·q^k) steps.
+    ``stats.windows`` counts q^|T| logical windows per clause pair;
+    ``workers`` and ``chunk_size`` are not used.
     """
     t0 = time.perf_counter()
     if C.neighborhood.dimension != 1:
         raise NotOneDimensionalError("fully asynchronous check requires one dimension")
     _require_pair(C, G)
     tw = FullyTestWindow.build(C.q, C.neighborhood, cap=min(cap, _INDEX_LIMIT))
-    space = _Space(tw.cells, C.q)
-    offsets = C.neighborhood.offsets
-    dtab, gtab = C.table_array, G.table_array
-    ranges = _chunk_ranges(space.count, chunk_size)
+    q = C.q
+    k = len(tw.cells) - len(tw.candidates) + 1  # span of N ∪ {0}
+    left = tw.cells[0][0] - tw.candidates[0]  # min(N ∪ {0})
+    origin = tw.candidates.index(0)  # the block of candidate 0 starts at this cell
+    # block b of candidate a lists the states of cells a+left .. a+left+k-1
+    blocks = list(itertools.product(range(q), repeat=k))
+    local = [C.local_index([blk[n[0] - left] for n in C.neighborhood.offsets]) for blk in blocks]
+    center = [blk[-left] for blk in blocks]
+    center_weight = q ** (k - 1 + left)
+    windows = q ** len(tw.cells)
 
-    results = _map_chunks(
-        ranges, workers, lambda lo, hi: _fully_flip_chunk(space, offsets, dtab, gtab, lo, hi)
-    )
-    windows = space.count
-    origin_active = ((0,),)
-    for clause, pos in ((CLAUSE_EQ1_FORWARD, 0), (CLAUSE_EQ1_BACKWARD, 1)):
-        hit = _least(r[pos] for r in results)
-        if hit is not None:
-            millis = (time.perf_counter() - t0) * 1000.0
-            witness = Witness(space.decode(hit), origin_active, clause)
-            return DecisionReport(
-                Verdict.NOT_INVERTIBLE, None, witness, EnumerationStats(windows, millis)
-            )
+    def report(clause: str | None = None, states=None) -> DecisionReport:
+        stats = EnumerationStats(windows, (time.perf_counter() - t0) * 1000.0)
+        if clause is None:
+            return DecisionReport(Verdict.INVERTIBLE, G, None, stats)
+        witness = Witness(WindowConfig(tw.cells, tuple(states)), ((0,),), clause)
+        return DecisionReport(Verdict.NOT_INVERTIBLE, None, witness, stats)
 
-    results = _map_chunks(
-        ranges,
-        workers,
-        lambda lo, hi: _fully_fixpoint_chunk(
-            space, offsets, tw.candidates, dtab, gtab, lo, hi
-        ),
-    )
-    windows += space.count
-    for clause, pos in ((CLAUSE_EQ2_DELTA, 0), (CLAUSE_EQ2_GAMMA, 1)):
-        hit = _least(r[pos] for r in results)
-        if hit is not None:
-            millis = (time.perf_counter() - t0) * 1000.0
-            witness = Witness(space.decode(hit), origin_active, clause)
-            return DecisionReport(
-                Verdict.NOT_INVERTIBLE, None, witness, EnumerationStats(windows, millis)
-            )
-    millis = (time.perf_counter() - t0) * 1000.0
-    return DecisionReport(Verdict.INVERTIBLE, G, None, EnumerationStats(windows, millis))
+    pairs = ((C.table, G.table), (G.table, C.table))
+    for clause, (tab1, tab2) in zip((CLAUSE_EQ1_FORWARD, CLAUSE_EQ1_BACKWARD), pairs):
+        for b, (L, c) in enumerate(zip(local, center)):
+            if tab1[L] != c and tab2[local[b + (tab1[L] - c) * center_weight]] != c:
+                # only the block around 0 matters; zeros elsewhere give the least window
+                states = [0] * len(tw.cells)
+                states[origin : origin + k] = blocks[b]
+                return report(clause, states)
+
+    windows *= 2
+    for clause, (tab1, tab2) in zip((CLAUSE_EQ2_DELTA, CLAUSE_EQ2_GAMMA), pairs):
+        unfixed = [tab2[L] != c for L, c in zip(local, center)]
+        allowed = [unfixed] * len(tw.candidates)
+        allowed[origin] = [u and tab1[L] == c for u, L, c in zip(unfixed, local, center)]
+        states = _least_path(q, k, allowed)
+        if states is not None:
+            return report(clause, states)
+    return report()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any
 
 from .core import Alphabet, LocalRule, Neighborhood, WindowConfig, eca_from_wolfram
-from .errors import RuleFormatError
+from .errors import OutOfDomainError, RuleFormatError
 
 __all__ = [
     "rule_to_dict",
@@ -38,27 +38,40 @@ def rule_to_dict(rule: LocalRule) -> dict[str, Any]:
     }
 
 
+def _integer(value: Any, what: str) -> int:
+    # bool is a subclass of int, but true/false are not rule numbers
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise RuleFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _integer_list(value: Any, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise RuleFormatError(f"{what} must be a list, got {value!r}")
+    return [_integer(v, f"{what} entry") for v in value]
+
+
 def rule_from_dict(doc: Any) -> LocalRule:
     if not isinstance(doc, dict):
         raise RuleFormatError("rule document must be a JSON object")
     if "wolfram" in doc:
-        number = doc["wolfram"]
-        if not isinstance(number, int):
-            raise RuleFormatError("wolfram number must be an integer")
-        return eca_from_wolfram(number)
+        return eca_from_wolfram(_integer(doc["wolfram"], "wolfram number"))
     try:
-        dimension = int(doc["dimension"])
-        alphabet = int(doc["alphabet"])
+        dimension = _integer(doc["dimension"], "dimension")
+        alphabet = _integer(doc["alphabet"], "alphabet")
         raw_offsets = doc["neighborhood"]
-        table = doc["table"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RuleFormatError(f"rule document missing or malformed field: {exc}") from exc
-    offsets = []
-    for n in raw_offsets:
-        offsets.append((int(n),) if isinstance(n, int) else tuple(int(x) for x in n))
+        table = _integer_list(doc["table"], "table")
+    except KeyError as exc:
+        raise RuleFormatError(f"rule document missing field: {exc}") from exc
+    if not isinstance(raw_offsets, list):
+        raise RuleFormatError(f"neighborhood must be a list, got {raw_offsets!r}")
+    offsets = [
+        tuple(_integer_list(n, "offset")) if isinstance(n, list) else (_integer(n, "offset"),)
+        for n in raw_offsets
+    ]
     try:
         return LocalRule(Alphabet(alphabet), Neighborhood(dimension, tuple(offsets)), tuple(table))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, OutOfDomainError) as exc:
         raise RuleFormatError(str(exc)) from exc
 
 

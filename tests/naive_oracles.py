@@ -99,6 +99,45 @@ def naive_check_fully(offsets, q, delta, gamma):
     return True
 
 
+def naive_least_fully_witness(offsets, q, delta, gamma):
+    """Least window violating a fully asynchronous clause, or None.
+
+    The clauses are tried in the fixed order eq1-forward, eq1-backward,
+    eq2-delta, eq2-gamma; each scans every window in lexicographic order
+    (first cell most significant) and the first violation found is
+    returned as ``(states, clause)``.
+    """
+    cells = fully_window_cells(offsets, q)
+    pos = {c: i for i, c in enumerate(cells)}
+    cand = fully_candidate_cells(offsets, q)
+    center = pos[0]
+
+    def flip_not_undone(w, one, other):
+        mine = w[center]
+        out = one[pattern_index(offsets, q, w, pos, 0)]
+        if out == mine:
+            return False
+        flipped = w[:center] + (out,) + w[center + 1:]
+        return other[pattern_index(offsets, q, flipped, pos, 0)] != mine
+
+    def fixed_but_stuck(w, one, other):
+        if one[pattern_index(offsets, q, w, pos, 0)] != w[center]:
+            return False
+        return not any(other[pattern_index(offsets, q, w, pos, a)] == w[pos[a]] for a in cand)
+
+    clauses = (
+        ("eq1-forward", flip_not_undone, delta, gamma),
+        ("eq1-backward", flip_not_undone, gamma, delta),
+        ("eq2-delta", fixed_but_stuck, delta, gamma),
+        ("eq2-gamma", fixed_but_stuck, gamma, delta),
+    )
+    for clause, violated, one, other in clauses:
+        for w in product(range(q), repeat=len(cells)):
+            if violated(w, one, other):
+                return w, clause
+    return None
+
+
 def all_tables(q, arity):
     return product(range(q), repeat=q ** arity)
 

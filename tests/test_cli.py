@@ -63,6 +63,20 @@ class TestDecide:
         result = run_cli("decide", "--rule", str(tmp_path / "nope.json"), "--scheme", "purely")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"wolfram": True},
+            {"dimension": 1, "alphabet": 2, "neighborhood": [0.5], "table": [0, 1]},
+        ],
+    )
+    def test_malformed_rule_file_exits_two(self, run_cli, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("decide", "--rule", str(path), "--scheme", "purely")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
     def test_threads_flag_does_not_change_output(self, run_cli):
         one = run_cli("decide", "--wolfram", "110", "--scheme", "fully", "--threads", "1")
         two = run_cli("decide", "--wolfram", "110", "--scheme", "fully", "--threads", "2")

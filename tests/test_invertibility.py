@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +41,12 @@ from acainvert.invertibility import (
     two_predecessor_witness,
 )
 
-from naive_oracles import naive_check_fully, naive_check_purely
+from naive_oracles import (
+    all_tables,
+    naive_check_fully,
+    naive_check_purely,
+    naive_least_fully_witness,
+)
 
 
 def rule_of(table, *offsets, q=2):
@@ -209,6 +217,56 @@ class TestCheckInverseFully:
             got = check_inverse_fully_1d(C, G).verdict is Verdict.INVERTIBLE
             want = naive_check_fully((-1, 0, 1), 2, C.table, G.table)
             assert got == want, (n, g)
+
+
+def golden_fully_pairs():
+    """A fixed, seeded list of 100 ECA pairs: half random, half the derived
+    candidate of a random rule with at most one table bit flipped, so every
+    clause and the invertible verdict all occur."""
+    rng = random.Random(1208)
+    pairs = []
+    for i in range(100):
+        a = rng.randrange(256)
+        if i % 2:
+            b = rng.randrange(256)
+        else:
+            candidate = wolfram_number(derive_candidate_inverse(eca_from_wolfram(a)))
+            b = candidate ^ (rng.randrange(2) << rng.randrange(8))
+        pairs.append((a, b))
+    return pairs
+
+
+def sha256_of(docs):
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+class TestFullyGoldenWitnesses:
+    """Digests of full reports (verdict, inverse, least witness window,
+    clause, logical window count) recorded with the exhaustive window
+    enumerator that preceded the de Bruijn sweep."""
+
+    def test_decide_all_eca(self):
+        docs = [decide_fully_1d(eca_from_wolfram(n)).to_dict() for n in range(256)]
+        assert sha256_of(docs) == "3c563ff5d4b96a07d94c798657e7a679c12d34026be7adbbcbe6db50ae68e862"
+
+    def test_check_seeded_eca_pairs(self):
+        docs = [
+            check_inverse_fully_1d(eca_from_wolfram(a), eca_from_wolfram(b)).to_dict()
+            for a, b in golden_fully_pairs()
+        ]
+        assert sha256_of(docs) == "8bad0a5049764909894486fb607d70c04576760085e6d919f1d254f9384fade7"
+
+
+@pytest.mark.parametrize("offsets,q", [((), 2), ((0,), 2), ((), 3), ((0,), 3)])
+def test_fully_witness_matches_naive_least_witness(offsets, q):
+    neighborhood = Neighborhood.line(*offsets)
+    tables = [tuple(t) for t in all_tables(q, len(offsets))]
+    for delta, gamma in itertools.product(tables, repeat=2):
+        C = LocalRule(Alphabet(q), neighborhood, delta)
+        G = LocalRule(Alphabet(q), neighborhood, gamma)
+        rep = check_inverse_fully_1d(C, G)
+        got = None if rep.witness is None else (rep.witness.window.states, rep.witness.clause)
+        assert got == naive_least_fully_witness(offsets, q, delta, gamma), (delta, gamma)
 
 
 class TestDeriveCandidate:

@@ -55,6 +55,31 @@ def test_integer_offsets_accepted():
         {"dimension": 1, "alphabet": 2, "table": [0, 1]},
         {"dimension": 1, "alphabet": 2, "neighborhood": [[0]], "table": [0, 1, 2]},
         {"dimension": 1, "alphabet": 2, "neighborhood": [[0], [0]], "table": [0, 1]},
+        # bool, float and str are not integers here, even where int() would take them
+        pytest.param({"wolfram": True}, id="bool-wolfram"),
+        pytest.param(
+            {"dimension": 1, "alphabet": 2.7, "neighborhood": [0], "table": [0, 1]},
+            id="float-alphabet",
+        ),
+        pytest.param(
+            {"dimension": 1, "alphabet": 2, "neighborhood": [0], "table": "10"}, id="str-table"
+        ),
+        pytest.param(
+            {"dimension": 1, "alphabet": 2, "neighborhood": [0], "table": [True, False]},
+            id="bool-table-entries",
+        ),
+        pytest.param(
+            {"dimension": 1, "alphabet": 2, "neighborhood": [0.5], "table": [0, 1]},
+            id="float-offset",
+        ),
+        pytest.param(
+            {"dimension": "1", "alphabet": 2, "neighborhood": [0], "table": [0, 1]},
+            id="str-dimension",
+        ),
+        pytest.param(
+            {"dimension": 1, "alphabet": 2, "neighborhood": [[False]], "table": [0, 1]},
+            id="bool-coordinate",
+        ),
     ],
 )
 def test_malformed_rules_rejected(doc):
