@@ -43,9 +43,10 @@ def _add_rule_source(parser: argparse.ArgumentParser) -> None:
 
 def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, default=DEFAULT_WINDOW_CAP, metavar="K",
-                        help="window enumeration cap (default %(default)s)")
+                        help="cap on the number of test windows q^|T| (default %(default)s)")
     parser.add_argument("--threads", type=int, default=None, metavar="T",
-                        help="worker count (default: ACA_THREADS or 1)")
+                        help="classify-eca worker processes; accepted and unused elsewhere "
+                             "(default: ACA_THREADS or 1)")
 
 
 def _resolve_threads(value: int | None) -> int:

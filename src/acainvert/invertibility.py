@@ -6,14 +6,18 @@ mixed-radix integers with the lexicographically first cell as the most
 significant digit, so integer order equals lexicographic window order and
 the least violation is well defined.
 
-The purely check enumerates all q^|T| assignments in chunks, evaluated
-with numpy table lookups and reduced with a deterministic minimum, which
-makes reports identical for every chunk size and worker count.  The fully
-check (d = 1) never enumerates: every clause reads blocks of
-k = span(N ∪ {0}) consecutive cells, so it sweeps the de Bruijn graph of
-width k in O(|T|·q^k) steps (Sutner, Complex Systems 5, 1991) and finds
-the same least violation; its ``stats.windows`` is still the logical
-count q^|T|, and it ignores ``workers`` and ``chunk_size``.
+Neither check enumerates Q^T.  The purely clause for an activation set D
+reads only the cells S = D ∪ (D+N), so its least violating window is the
+least violating assignment to S with zeros elsewhere; the check sweeps
+each D on its own, growing assignments to S cell by cell in bounded
+blocks of numpy rows and dropping a partial assignment as soon as a cell
+of D it fully determines keeps its state.  The fully check (d = 1) reads
+blocks of k = span(N ∪ {0}) consecutive cells, so it sweeps the de Bruijn
+graph of width k in O(|T|·q^k) steps (Sutner, Complex Systems 5, 1991).
+Both find the least violation enumeration would find, report the logical
+count q^|T| in ``stats.windows``, and run on one thread: ``workers`` and
+``chunk_size`` are accepted and not used, so reports are identical for
+every value of them.
 
 Clause identifiers carried by witnesses:
 
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
@@ -204,24 +207,6 @@ class FullyTestWindow:
         return cls(max_distance=m, candidates=candidates, cells=cells)
 
 
-class _Space:
-    """Mixed-radix enumeration of Q^T, first cell most significant."""
-
-    def __init__(self, cells: tuple[Cell, ...], q: int):
-        self.cells = cells
-        self.q = q
-        self.count = q ** len(cells)
-        n = len(cells)
-        self.weight = {c: q ** (n - 1 - i) for i, c in enumerate(cells)}
-
-    def digit(self, index, cell: Cell):
-        return (index // self.weight[cell]) % self.q
-
-    def decode(self, index: int) -> WindowConfig:
-        states = tuple(int(self.digit(index, c)) for c in self.cells)
-        return WindowConfig(self.cells, states)
-
-
 def _require_pair(C: LocalRule, G: LocalRule) -> None:
     if C.alphabet != G.alphabet:
         raise AlphabetMismatchError("rules must share an alphabet")
@@ -229,94 +214,97 @@ def _require_pair(C: LocalRule, G: LocalRule) -> None:
         raise NeighborhoodMismatchError("rules must share a neighborhood")
 
 
-def _chunk_ranges(count: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
+# rows of a purely sweep extended at once; bounds its memory for any q^|T|
+_SWEEP_BLOCK = 1 << 14
 
 
-def _map_chunks(ranges, workers: int, fn: Callable):
-    if workers <= 1 or len(ranges) <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: fn(*r), ranges))
+@dataclass(frozen=True)
+class _SetPlan:
+    """How the purely sweep for one activation set D reads its rows.
 
-
-def _least(candidates):
-    best = None
-    for c in candidates:
-        if c is not None and (best is None or c < best):
-            best = c
-    return best
-
-
-class _DigitCache:
-    """Per-chunk lazy digit extraction for one index vector."""
-
-    def __init__(self, space: _Space, idx: np.ndarray):
-        self.space = space
-        self.idx = idx
-        self._cache: dict[Cell, np.ndarray] = {}
-
-    def __call__(self, cell: Cell) -> np.ndarray:
-        arr = self._cache.get(cell)
-        if arr is None:
-            arr = (self.idx // self.space.weight[cell]) % self.space.q
-            self._cache[cell] = arr
-        return arr
-
-
-def _local_index(space: _Space, dig: _DigitCache, base: Cell, offsets, override=None):
-    """Vector of local-configuration table indices at ``base``.
-
-    ``override`` maps cells to replacement digit vectors (used to read the
-    window after a simultaneous update without materializing it).
+    A row holds the states of the cells S = D ∪ (D+N), in window order,
+    then the stepped state of each cell of D.  ``weights`` are the window
+    index weights of S.  ``flips[i]`` lists the cells of D that can be
+    tested once column i is assigned, as (column, neighbor columns,
+    stepped column); ``undo`` lists (column, neighbor columns after the
+    step) for every cell of D.
     """
-    q = space.q
-    L = 0
-    for n in offsets:
-        cell = add_cells(base, n)
-        v = None if override is None else override.get(cell)
-        if v is None:
-            v = dig(cell)
-        L = L * q + v
-    return L
+
+    cells: tuple[Cell, ...]
+    weights: np.ndarray
+    flips: tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
+    undo: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @classmethod
+    def build(cls, active, reads: dict[Cell, tuple[Cell, ...]], weight: dict[Cell, int]) -> "_SetPlan":
+        cells = sorted(set(active).union(*(reads[c] for c in active)))
+        column = {cell: i for i, cell in enumerate(cells)}
+        stepped = dict(column)
+        stepped.update((c, len(cells) + j) for j, c in enumerate(active))
+        flips: list[list] = [[] for _ in cells]
+        for c in active:
+            own = tuple(column[x] for x in reads[c])
+            flips[max((column[c],) + own)].append((column[c], own, stepped[c]))
+        return cls(
+            cells=tuple(cells),
+            weights=np.array([weight[cell] for cell in cells], dtype=np.int64),
+            flips=tuple(map(tuple, flips)),
+            undo=tuple((column[c], tuple(stepped[x] for x in reads[c])) for c in active),
+        )
 
 
-def _purely_chunk(space, family, offsets, dtab, gtab, lo, hi):
-    """Least violating (window, family position) per direction in [lo, hi)."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    dig = _DigitCache(space, idx)
-    base_local: dict[Cell, np.ndarray] = {}
+def _local_indices(rows: np.ndarray, columns: tuple[int, ...], q: int):
+    index = 0
+    for col in columns:
+        index = index * q + rows[:, col].astype(np.int64)
+    return index
 
-    def local_at(cell):
-        arr = base_local.get(cell)
-        if arr is None:
-            arr = _local_index(space, dig, cell, offsets)
-            base_local[cell] = arr
-        return arr
 
-    best = [None, None]
-    for fam_i, active in enumerate(family):
-        for direction, (tab1, tab2) in enumerate(((dtab, gtab), (gtab, dtab))):
-            stepped = {}
-            changed = None
-            for cell in active:
-                out = tab1[local_at(cell)]
-                stepped[cell] = out
-                delta = out != dig(cell)
-                changed = delta if changed is None else changed & delta
-            if changed is None or not changed.any():
-                continue
-            undone = None
-            for cell in active:
-                back = tab2[_local_index(space, dig, cell, offsets, stepped)]
-                ok = back == dig(cell)
-                undone = ok if undone is None else undone & ok
-            viol = changed & ~undone
-            if viol.any():
-                cand = (int(idx[int(np.argmax(viol))]), fam_i)
-                if best[direction] is None or cand < best[direction]:
-                    best[direction] = cand
-    return best[0], best[1]
+def _purely_sweep(q: int, plan: _SetPlan, tab1, tab2, bound: int | None):
+    """Least window, as a row over S, whose flip by ``tab1`` at every cell
+    of D is not undone by ``tab2``; only windows whose zero-padded index is
+    below ``bound`` count.  None if there is none.
+
+    Rows grow one cell at a time in window order, so every block of rows
+    stays lexicographically sorted, and a row is dropped as soon as a cell
+    of D whose reads are all assigned keeps its state.  Blocks wait on a
+    stack, least on top, so the first violation found is the least.
+    """
+    m = len(plan.cells)
+    dtype = np.min_scalar_type(q)
+    digits = np.arange(q, dtype=dtype)
+    stack = [(0, np.zeros((1, m + len(plan.undo)), dtype=dtype))]
+    while stack:
+        level, rows = stack.pop()
+        n = len(rows)
+        if n > 1 and n * q > _SWEEP_BLOCK:
+            size = max(1, _SWEEP_BLOCK // q)
+            stack.extend((level, rows[lo : lo + size]) for lo in reversed(range(0, n, size)))
+            continue
+        rows = np.repeat(rows, q, axis=0)
+        # np.repeat returns a fresh C-ordered array, so this reshape is a view
+        rows.reshape(n, q, -1)[:, :, level] = digits
+        if bound is not None:
+            keep = int(np.searchsorted(rows[:, : level + 1] @ plan.weights[: level + 1], bound))
+            if keep < len(rows):
+                # rows still on the stack come later in window order
+                stack.clear()
+                rows = rows[:keep]
+        for col, reads, out_col in plan.flips[level]:
+            rows[:, out_col] = tab1[_local_indices(rows, reads, q)]
+            rows = rows[rows[:, out_col] != rows[:, col]]
+        if not len(rows):
+            continue
+        if level + 1 < m:
+            stack.append((level + 1, rows))
+            continue
+        undone = np.ones(len(rows), dtype=bool)
+        for col, reads in plan.undo:
+            undone &= tab2[_local_indices(rows, reads, q)] == rows[:, col]
+        hits = np.flatnonzero(~undone)
+        if len(hits):
+            return rows[hits[0], :m]
+    return None
 
 
 def check_inverse_purely(
@@ -331,33 +319,45 @@ def check_inverse_purely(
 
     Verdict is invertible iff, over the finite window, every simultaneous
     update by one rule at an admissible active set is undone by the other
-    rule at the same set, in both directions.
+    rule at the same set, in both directions.  The clause for a set D
+    reads only S = D ∪ (D+N), so its least violating window is the least
+    violating assignment to S with zeros elsewhere; ``_purely_sweep``
+    finds it per D, pruned, and skips every window that cannot beat the
+    least (window, D) found so far.  The backward direction runs only when
+    the forward one holds, as a forward witness is reported first.
+    ``stats.windows`` counts the q^|T| logical windows; ``workers`` and
+    ``chunk_size`` are not used.
     """
     t0 = time.perf_counter()
     _require_pair(C, G)
     tw = PurelyTestWindow.build(C.neighborhood)
-    space = _Space(tw.cells, C.q)
-    if space.count > min(cap, _INDEX_LIMIT):
+    q = C.q
+    windows = q ** len(tw.cells)
+    if windows > min(cap, _INDEX_LIMIT):
         raise ResourceCapExceededError(
-            f"purely test window needs {space.count} window assignments, cap is {cap}"
+            f"purely test window needs {windows} window assignments, cap is {cap}"
         )
-    offsets = C.neighborhood.offsets
-    dtab, gtab = C.table_array, G.table_array
-    results = _map_chunks(
-        _chunk_ranges(space.count, chunk_size),
-        workers,
-        lambda lo, hi: _purely_chunk(space, tw.active_family, offsets, dtab, gtab, lo, hi),
+    reads = {c: C.neighborhood.shifted(c) for active in tw.active_family for c in active}
+    weight = {cell: q ** (len(tw.cells) - 1 - i) for i, cell in enumerate(tw.cells)}
+    plans = [_SetPlan.build(active, reads, weight) for active in tw.active_family]
+    directions = (
+        (CLAUSE_PURELY_FORWARD, C.table_array, G.table_array),
+        (CLAUSE_PURELY_BACKWARD, G.table_array, C.table_array),
     )
-    fwd = _least(r[0] for r in results)
-    bwd = _least(r[1] for r in results)
-    millis = (time.perf_counter() - t0) * 1000.0
-    stats = EnumerationStats(windows=space.count, millis=millis)
-    if fwd is not None:
-        witness = Witness(space.decode(fwd[0]), tw.active_family[fwd[1]], CLAUSE_PURELY_FORWARD)
-        return DecisionReport(Verdict.NOT_INVERTIBLE, None, witness, stats)
-    if bwd is not None:
-        witness = Witness(space.decode(bwd[0]), tw.active_family[bwd[1]], CLAUSE_PURELY_BACKWARD)
-        return DecisionReport(Verdict.NOT_INVERTIBLE, None, witness, stats)
+    for clause, tab1, tab2 in directions:
+        best = None
+        for active, plan in zip(tw.active_family, plans):
+            row = _purely_sweep(q, plan, tab1, tab2, None if best is None else best[0])
+            if row is not None:
+                best = (int(row @ plan.weights), active, plan, row)
+        if best is not None:
+            _, active, plan, row = best
+            states = dict.fromkeys(tw.cells, 0)
+            states.update(zip(plan.cells, row.tolist()))
+            witness = Witness(WindowConfig.from_mapping(states), active, clause)
+            stats = EnumerationStats(windows, (time.perf_counter() - t0) * 1000.0)
+            return DecisionReport(Verdict.NOT_INVERTIBLE, None, witness, stats)
+    stats = EnumerationStats(windows, (time.perf_counter() - t0) * 1000.0)
     return DecisionReport(Verdict.INVERTIBLE, G, None, stats)
 
 
@@ -549,8 +549,6 @@ def _decide(
     window_cap: int,
     candidate_cap: int,
     exhaustive: bool,
-    workers: int,
-    chunk_size: int,
 ) -> DecisionReport:
     t0 = time.perf_counter()
     if rule.q == 1:
@@ -563,7 +561,7 @@ def _decide(
         return _conflict_report(mini, candidate, t0)
     windows = 0
     try:
-        first = checker(mini, candidate, cap=window_cap, workers=workers, chunk_size=chunk_size)
+        first = checker(mini, candidate, cap=window_cap)
     except ResourceCapExceededError:
         return _cap_report(windows, t0)
     windows += first.stats.windows
@@ -579,7 +577,7 @@ def _decide(
             if table == candidate.table:
                 continue
             other = LocalRule(rule.alphabet, mini.neighborhood, table)
-            rep = checker(mini, other, cap=window_cap, workers=workers, chunk_size=chunk_size)
+            rep = checker(mini, other, cap=window_cap)
             windows += rep.stats.windows
             if rep.verdict is Verdict.INVERTIBLE:
                 millis = (time.perf_counter() - t0) * 1000.0
@@ -605,7 +603,8 @@ def decide_purely(
     The neighborhood is minimized, the single candidate inverse derived and
     checked; with ``exhaustive`` every table over the minimized
     neighborhood is tried before a negative verdict.  A returned inverse is
-    re-expressed over the rule's original neighborhood.
+    re-expressed over the rule's original neighborhood.  ``workers`` and
+    ``chunk_size`` are accepted and not used.
     """
     return _decide(
         rule,
@@ -613,8 +612,6 @@ def decide_purely(
         window_cap=window_cap,
         candidate_cap=candidate_cap,
         exhaustive=exhaustive,
-        workers=workers,
-        chunk_size=chunk_size,
     )
 
 
@@ -627,7 +624,8 @@ def decide_fully_1d(
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> DecisionReport:
-    """Decide fully asynchronous invertibility of a one-dimensional rule."""
+    """Decide fully asynchronous invertibility of a one-dimensional rule;
+    ``workers`` and ``chunk_size`` are accepted and not used."""
     if rule.neighborhood.dimension != 1:
         raise NotOneDimensionalError("fully asynchronous decision requires one dimension")
     return _decide(
@@ -636,8 +634,6 @@ def decide_fully_1d(
         window_cap=window_cap,
         candidate_cap=candidate_cap,
         exhaustive=exhaustive,
-        workers=workers,
-        chunk_size=chunk_size,
     )
 
 

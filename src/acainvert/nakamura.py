@@ -16,9 +16,10 @@ Bar states are serialized through the fixed bijection
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
+
+import numpy as np
 
 from .core import (
     Alphabet,
@@ -54,6 +55,9 @@ __all__ = [
     "embed_ring",
     "verify_theorem1",
 ]
+
+# table entries computed at once by build_bar_pair; bounds its working memory
+_TABLE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -170,33 +174,35 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
     gamma = with_neighborhood(G, shared)
     q = C.q
     alphabet = bar_alphabet(q)
-    states = [decode_bar_state(q, code) for code in range(alphabet.size)]
     center = _center_position(shared)
     arity = len(shared)
 
-    forward_table = []
-    backward_table = []
-    for codes in itertools.product(range(alphabet.size), repeat=arity):
-        local = [states[code] for code in codes]
-        me = local[center]
-        if is_ahead(shared, local):
-            forward_table.append(codes[center])
-        else:
-            view = curr_local(shared, local)
-            if me.old == gamma.apply_local(view):
-                nxt = BarState(delta.apply_local(view), me.curr, (me.time + 1) % 3)
-                forward_table.append(encode_bar_state(q, nxt))
-            else:
-                forward_table.append(codes[center])
-        if is_behind(shared, local):
-            backward_table.append(codes[center])
-        else:
-            view = old_local(shared, local)
-            if me.curr == delta.apply_local(view):
-                prev = BarState(me.old, gamma.apply_local(view), (me.time - 1) % 3)
-                backward_table.append(encode_bar_state(q, prev))
-            else:
-                backward_table.append(codes[center])
+    size = alphabet.size
+    total = size**arity
+    weights = size ** np.arange(arity - 1, -1, -1, dtype=np.int64)
+    dtab, gtab = delta.table_array, gamma.table_array
+    forward_table: list[int] = []
+    backward_table: list[int] = []
+    for lo in range(0, total, _TABLE_BLOCK):
+        # the bar code at every position of each local configuration in this
+        # block, one row per position, configurations in table order
+        codes = np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64) // weights[:, None] % size
+        curr, rest = np.divmod(codes, 3 * q)
+        old, stamp = np.divmod(rest, 3)
+        t0 = stamp[center]
+        ahead = (t0 == (stamp + 1) % 3).any(axis=0)
+        behind = (stamp == (t0 + 1) % 3).any(axis=0)
+        same = stamp == t0
+        # table indices of the views of curr_local and old_local wherever
+        # those are defined; local_index reads one row per position
+        now = delta.local_index(np.where(same, curr, old))
+        before = delta.local_index(np.where(same, old, curr))
+        advance = ~ahead & (old[center] == gtab[now])
+        retreat = ~behind & (curr[center] == dtab[before])
+        forward = np.where(advance, dtab[now] * 3 * q + curr[center] * 3 + (t0 + 1) % 3, codes[center])
+        backward = np.where(retreat, old[center] * 3 * q + gtab[before] * 3 + (t0 - 1) % 3, codes[center])
+        forward_table += forward.tolist()
+        backward_table += backward.tolist()
     return BarRulePair(
         forward=LocalRule(alphabet, shared, tuple(forward_table)),
         backward=LocalRule(alphabet, shared, tuple(backward_table)),
@@ -248,6 +254,7 @@ def verify_theorem1(
 
     The synchronous-inverse premise on (C, G) is the caller's claim; this
     verifies the construction's conclusion, which is the falsifiable part.
+    ``workers`` is accepted and not used.
     """
     pair = build_bar_pair(C, G)
-    return check_inverse_purely(pair.forward, pair.backward, cap=cap, workers=workers)
+    return check_inverse_purely(pair.forward, pair.backward, cap=cap)

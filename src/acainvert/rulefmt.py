@@ -95,9 +95,17 @@ def window_to_dict(window: WindowConfig) -> dict[str, Any]:
 
 
 def window_from_dict(doc: Any) -> WindowConfig:
+    if not isinstance(doc, dict):
+        raise RuleFormatError("window document must be a JSON object")
     try:
-        cells = tuple(tuple(int(x) for x in c) for c in doc["cells"])
-        states = tuple(int(s) for s in doc["states"])
+        raw_cells, raw_states = doc["cells"], doc["states"]
+    except KeyError as exc:
+        raise RuleFormatError(f"window document missing field: {exc}") from exc
+    if not isinstance(raw_cells, list):
+        raise RuleFormatError(f"cells must be a list, got {raw_cells!r}")
+    cells = tuple(tuple(_integer_list(c, "cell")) for c in raw_cells)
+    states = tuple(_integer_list(raw_states, "states"))
+    try:
         return WindowConfig(cells, states)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise RuleFormatError(f"window document malformed: {exc}") from exc

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import sys
 from contextlib import redirect_stdout
 from dataclasses import dataclass
@@ -20,6 +22,11 @@ def padded_fully_verdict(n: int) -> str:
     """Fully asynchronous verdict after widening with dummy offsets."""
     padded = with_neighborhood(eca_from_wolfram(n), PADDED_NEIGHBORHOOD)
     return decide_fully_1d(padded).verdict.value
+
+
+def sha256_of(docs) -> str:
+    """Digest of a JSON-serializable value, independent of dict order."""
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass

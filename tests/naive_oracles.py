@@ -138,6 +138,50 @@ def naive_least_fully_witness(offsets, q, delta, gamma):
     return None
 
 
+def purely_activation_family(offsets):
+    """Every D with 0 in D subset {0} union N, ordered by the indicator
+    vector of the non-origin offsets, most significant first."""
+    others = sorted(set(offsets) - {0})
+    family = []
+    for mask in range(1 << len(others)):
+        chosen = [o for i, o in enumerate(others) if (mask >> (len(others) - 1 - i)) & 1]
+        family.append(tuple(sorted([0] + chosen)))
+    return family
+
+
+def naive_least_purely_witness(offsets, q, delta, gamma):
+    """Least violation of the purely asynchronous clause, or None.
+
+    A window w violates the clause for (one, other) at D when stepping one
+    at D changes every cell of D and stepping other at D afterwards does
+    not give w back.  The forward direction (delta, then gamma) is tried
+    first; within a direction the windows are scanned in lexicographic
+    order (first cell most significant) and, per window, the sets D in
+    family order.  The first violation is returned as
+    ``(states, active, clause)``.
+    """
+    cells = purely_window_cells(offsets)
+    pos = {c: i for i, c in enumerate(cells)}
+    family = purely_activation_family(offsets)
+
+    def violated(w, active, one, other):
+        stepped = list(w)
+        for c in active:
+            out = one[pattern_index(offsets, q, w, pos, c)]
+            if out == w[pos[c]]:
+                return False
+            stepped[pos[c]] = out
+        return any(other[pattern_index(offsets, q, stepped, pos, c)] != w[pos[c]] for c in active)
+
+    directions = (("purely-forward", delta, gamma), ("purely-backward", gamma, delta))
+    for clause, one, other in directions:
+        for w in product(range(q), repeat=len(cells)):
+            for active in family:
+                if violated(w, active, one, other):
+                    return w, active, clause
+    return None
+
+
 def all_tables(q, arity):
     return product(range(q), repeat=q ** arity)
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import random
 
 import pytest
@@ -40,13 +38,17 @@ from acainvert.invertibility import (
     derive_candidate_inverse,
     two_predecessor_witness,
 )
+from acainvert.nakamura import build_bar_pair
 
+from conftest import sha256_of
 from naive_oracles import (
     all_tables,
     naive_check_fully,
     naive_check_purely,
     naive_least_fully_witness,
+    naive_least_purely_witness,
 )
+from test_nakamura import bar_pair_inputs
 
 
 def rule_of(table, *offsets, q=2):
@@ -236,10 +238,6 @@ def golden_fully_pairs():
     return pairs
 
 
-def sha256_of(docs):
-    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
-
-
 class TestFullyGoldenWitnesses:
     """Digests of full reports (verdict, inverse, least witness window,
     clause, logical window count) recorded with the exhaustive window
@@ -255,6 +253,87 @@ class TestFullyGoldenWitnesses:
             for a, b in golden_fully_pairs()
         ]
         assert sha256_of(docs) == "8bad0a5049764909894486fb607d70c04576760085e6d919f1d254f9384fade7"
+
+
+def _partner(rng, rule):
+    """A random table, or the derived candidate with at most one entry
+    changed, over the rule's alphabet and neighborhood."""
+    q = rule.q
+    table = [rng.randrange(q) for _ in rule.table]
+    candidate = derive_candidate_inverse(rule)
+    if rng.randrange(2) and isinstance(candidate, LocalRule):
+        table = list(candidate.table)
+        table[rng.randrange(len(table))] = rng.randrange(q)
+    return LocalRule(rule.alphabet, rule.neighborhood, tuple(table))
+
+
+def golden_purely_pairs():
+    """A fixed, seeded list of 150 rule pairs for the purely check: ECA
+    pairs, 2- and 3-state rules on offsets in [-2, 2] (ten with no offset
+    0), padded rules, one 2-D neighborhood, and the bar pairs built from
+    the bar-pairs inputs in both orders."""
+    rng = random.Random(1209)
+    pairs = []
+    for i in range(40):
+        a = rng.randrange(256)
+        if i % 2:
+            b = rng.randrange(256)
+        else:
+            candidate = wolfram_number(derive_candidate_inverse(eca_from_wolfram(a)))
+            b = candidate ^ (rng.randrange(2) << rng.randrange(8))
+        pairs.append((eca_from_wolfram(a), eca_from_wolfram(b)))
+
+    def random_rule(q, neighborhood):
+        table = tuple(rng.randrange(q) for _ in range(q ** len(neighborhood)))
+        return LocalRule(Alphabet(q), neighborhood, table)
+
+    draws = [(2, rng.randint(1, 3), range(-2, 3)) for _ in range(30)]
+    draws += [(3, rng.randint(1, 2), range(-2, 3)) for _ in range(30)]
+    draws += [(rng.randint(2, 3), rng.randint(1, 2), (-2, -1, 1, 2)) for _ in range(10)]
+    for q, arity, span in draws:
+        C = random_rule(q, Neighborhood.line(*sorted(rng.sample(list(span), arity))))
+        pairs.append((C, _partner(rng, C)))
+    for _ in range(20):
+        q = rng.randint(2, 3)
+        base = sorted(rng.sample(range(-1, 2), 2))
+        wide = Neighborhood.line(*sorted(set(base) | set(rng.sample(range(-2, 3), 2))))
+        C = random_rule(q, Neighborhood.line(*base))
+        G = _partner(rng, C)
+        pairs.append((with_neighborhood(C, wide), with_neighborhood(G, wide)))
+    square = Neighborhood(2, ((0, 0), (0, 1), (1, 0)))
+    for _ in range(6):
+        C = random_rule(2, square)
+        pairs.append((C, _partner(rng, C)))
+    for C, G in bar_pair_inputs():
+        pair = build_bar_pair(C, G)
+        pairs += [(pair.forward, pair.backward), (pair.backward, pair.forward)]
+    return pairs
+
+
+class TestPurelyGoldenWitnesses:
+    """Digests of full reports (verdict, inverse, least witness window,
+    activation set, clause, logical window count) recorded with the
+    chunked window enumerator that preceded the per-activation-set sweep."""
+
+    def test_decide_all_eca(self):
+        docs = [decide_purely(eca_from_wolfram(n)).to_dict() for n in range(256)]
+        assert sha256_of(docs) == "c8f8933bba3ae545eac7173bf7fb514953093f3f75202bab5262c3cde786741a"
+
+    def test_check_seeded_pairs(self):
+        docs = [check_inverse_purely(C, G).to_dict() for C, G in golden_purely_pairs()]
+        assert sha256_of(docs) == "f18f46c0419836f1d36ab84400f0c3222624502d6e17f80a770fccdd2ae67d86"
+
+
+@pytest.mark.parametrize("offsets,q", [((), 2), ((0,), 2), ((1,), 2), ((-1, 0), 2), ((0,), 3)])
+def test_purely_witness_matches_naive_least_witness(offsets, q):
+    neighborhood = Neighborhood.line(*offsets)
+    tables = [tuple(t) for t in all_tables(q, len(offsets))]
+    for delta, gamma in itertools.product(tables, repeat=2):
+        C = LocalRule(Alphabet(q), neighborhood, delta)
+        G = LocalRule(Alphabet(q), neighborhood, gamma)
+        w = check_inverse_purely(C, G).witness
+        got = None if w is None else (w.window.states, tuple(c[0] for c in w.active), w.clause)
+        assert got == naive_least_purely_witness(offsets, q, delta, gamma), (delta, gamma)
 
 
 @pytest.mark.parametrize("offsets,q", [((), 2), ((0,), 2), ((), 3), ((0,), 3)])

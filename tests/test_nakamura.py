@@ -37,9 +37,22 @@ from acainvert.nakamura import (
     verify_theorem1,
 )
 
+from conftest import sha256_of
+
 ECA = eca_from_wolfram(110).neighborhood
 
 INVERSE_PAIRS = [(51, 51), (204, 204), (170, 240)]
+
+
+def bar_pair_inputs():
+    """The synchronous inverse pairs that perfbench's bar-pairs workload
+    verifies: six ECA pairs and the 3-state shift pair C(x) = x_{-1} + 1,
+    G(x) = x_{+1} - 1 (mod 3)."""
+    ecas = ((51, 51), (204, 204), (170, 240), (240, 170), (15, 85), (85, 15))
+    pairs = [(eca_from_wolfram(a), eca_from_wolfram(b)) for a, b in ecas]
+    shift = LocalRule(Alphabet(3), Neighborhood.line(-1), (1, 2, 0))
+    unshift = LocalRule(Alphabet(3), Neighborhood.line(1), (2, 0, 1))
+    return pairs + [(shift, unshift)]
 
 
 def ring_sync_step(rule, states):
@@ -176,6 +189,40 @@ class TestBuildBarPair:
             if out != me:
                 assert out.time == (me.time - 1) % 3
                 assert out.curr == me.old
+
+
+def bar_table_inputs():
+    """The bar-pairs inputs plus one pair whose symmetrized union
+    (-2, -1, 0, 1, 2) adds dummy offsets to both rules; its 12^5-entry
+    tables span several of build_bar_pair's blocks."""
+    padded = (
+        LocalRule(Alphabet(2), Neighborhood.line(0, 2), (0, 1, 1, 0)),
+        LocalRule(Alphabet(2), Neighborhood.line(-1), (1, 0)),
+    )
+    return bar_pair_inputs() + [padded]
+
+
+BAR_TABLE_DIGESTS = [
+    "66ab76783a96a87b8494443a451d4a57e621e3fccf1d2187ec2e078451a7c1ee",
+    "c971af337ba227f1e87da43db8fd9fa8185ad161f9756e827214c130da4b9838",
+    "02caf4a5af14e8d77f1e6d1157f6fdb0fcb161da4a12b889e9c803df59ecae84",
+    "8efe8a4a5db077dc6907b69666316f72d066f0a2099d9e4ba5dfe2f1011c2b57",
+    "6ae3a0c27772ee1162d0a5bf9c344aa8a534faf51aa39c8dc27e0d29ba37d2ac",
+    "5e9744a620ff07b29582b56c6e429a431f1c92fe8c3e3e0dfa12b194b2031f2a",
+    "0d1f0546d9ce728ff8b5feef86d6a8451417f7d10779b80ae13a2e18fe58766e",
+    "a56c87d1f94a367dd028b46815eb12b215849dc0a74792222514fb55c1c6bbe6",
+]
+
+
+class TestBarTableGoldenDigests:
+    """Digests of both bar tables, recorded with the per-entry loop over
+    the predicates that preceded the array build."""
+
+    @pytest.mark.parametrize("index", range(len(BAR_TABLE_DIGESTS)))
+    def test_tables(self, index):
+        C, G = bar_table_inputs()[index]
+        pair = build_bar_pair(C, G)
+        assert sha256_of([pair.forward.table, pair.backward.table]) == BAR_TABLE_DIGESTS[index]
 
 
 class TestEmbed:
