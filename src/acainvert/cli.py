@@ -22,11 +22,12 @@ from .errors import CaError
 from .invertibility import (
     DEFAULT_WINDOW_CAP,
     Verdict,
+    check_inverse_purely,
     decide_fully_1d,
     decide_purely,
     two_predecessor_witness,
 )
-from .nakamura import build_bar_pair, verify_theorem1
+from .nakamura import build_bar_pair, verify_theorem1  # noqa: F401 (read as cli.verify_theorem1)
 from .rulefmt import dump_rule, load_rule
 from .simulate import simulate
 
@@ -113,8 +114,9 @@ def _cmd_nakamura(args: argparse.Namespace) -> int:
     dump_rule(pair.forward, out_dir / "bar-forward.json", extra=encoding)
     dump_rule(pair.backward, out_dir / "bar-backward.json", extra=encoding)
     if args.verify:
-        report = verify_theorem1(forward, backward, cap=args.cap,
-                                 workers=_resolve_threads(args.threads))
+        _resolve_threads(args.threads)  # refuses a bad --threads; the check runs on one thread
+        # check the pair built above; verify_theorem1 would build it again
+        report = check_inverse_purely(pair.forward, pair.backward, cap=args.cap)
         _print_json(report.to_dict())
         return _verdict_exit(report.verdict)
     return EXIT_OK

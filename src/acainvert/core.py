@@ -156,13 +156,14 @@ class LocalRule:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        table = tuple(int(v) for v in self.table)
+        table = tuple(map(int, self.table))
         expected = self.alphabet.size ** len(self.neighborhood)
         if len(table) != expected:
             raise ValueError(f"table has {len(table)} entries, expected {expected}")
-        for v in table:
-            if v not in self.alphabet:
-                raise ValueError(f"table value {v} outside alphabet of size {self.alphabet.size}")
+        if min(table) < 0 or max(table) >= self.alphabet.size:
+            # the range test runs in C; the loop only names the first bad value
+            bad = next(v for v in table if v not in self.alphabet)
+            raise ValueError(f"table value {bad} outside alphabet of size {self.alphabet.size}")
         object.__setattr__(self, "table", table)
 
     @property

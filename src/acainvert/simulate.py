@@ -6,6 +6,7 @@ work on finite windows and never consult this module.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -45,13 +46,33 @@ class Trace:
         }
 
 
+def _integer(value: Any, what: str) -> int:
+    # bool is a subclass of int, but true/false are not states or counts
+    if isinstance(value, bool):
+        raise OutOfRangeError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRangeError(f"{what} must be an integer, got {value!r}") from None
+
+
 def step_cyclic(rule: LocalRule, states: Sequence[int], active: Iterable[int]) -> tuple[int, ...]:
-    """Apply the rule at the active cells of a cyclic lattice; others hold."""
+    """Apply the rule at the active cells of a cyclic lattice; others hold.
+
+    Active cells are taken modulo the lattice size, in any order, and
+    repeats count once.  Every active cell reads the pre-step states,
+    wrapping around the lattice; only the active cells' reads are computed,
+    whereas :func:`simulate` builds the reads of every cell once per call.
+    """
     n = len(states)
+    offsets = [off[0] for off in rule.neighborhood.offsets]
+    table, q = rule.table, rule.q
     out = list(states)
-    for a in sorted(set(active)):
-        local = [states[(a + off[0]) % n] for off in rule.neighborhood.offsets]
-        out[a % n] = rule.apply_local(local)
+    for a in {a % n for a in active}:
+        index = 0
+        for o in offsets:
+            index = index * q + states[(a + o) % n]
+        out[a] = table[index]
     return tuple(out)
 
 
@@ -66,8 +87,19 @@ def simulate(
     """Run ``steps`` asynchronous updates with a deterministic seeded schedule.
 
     Under the purely asynchronous scheme each cell joins the activation set
-    independently with probability ``p`` (cells drawn in index order); under
-    the fully asynchronous scheme exactly one uniformly random cell fires.
+    independently with probability ``p``: one ``rng.random()`` per cell, in
+    index order, before the step is applied.  Under the fully asynchronous
+    scheme exactly one cell fires, drawn by one ``rng.randrange(n)``.  The
+    generator is ``random.Random(seed)`` and nothing else draws from it, so
+    a seed gives the same trace in every version.
+
+    The read table (the cells each cell reads, wrapped around the lattice)
+    is built once per call; each step then indexes the rule table from the
+    pre-step states of the active cells' reads.
+
+    Initial states must be integers of the rule's alphabet (bool, float and
+    str are refused, not truncated) and ``steps`` a non-negative integer;
+    otherwise :class:`OutOfRangeError` is raised.
     """
     if rule.neighborhood.dimension != 1:
         raise NotOneDimensionalError("cyclic simulation handles 1-D rules only")
@@ -75,23 +107,41 @@ def simulate(
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if not 0.0 <= p <= 1.0:
         raise OutOfRangeError("activation probability must lie in [0, 1]")
+    steps = _integer(steps, "step count")
+    if steps < 0:
+        raise OutOfRangeError(f"step count must be non-negative, got {steps}")
     n = len(initial)
     offs = [off[0] for off in rule.neighborhood.offsets]
     extent = (max(offs) - min(offs) + 1) if offs else 1
     if n < extent:
         raise LatticeTooSmallError(f"lattice of size {n} cannot host neighborhood extent {extent}")
-    current = tuple(int(s) for s in initial)
-    for s in current:
-        if s not in rule.alphabet:
-            raise ValueError(f"initial state {s} outside alphabet")
+    table, q = rule.table, rule.q
+    start = current = tuple(_integer(s, "initial state") for s in initial)
+    for s in start:
+        if not 0 <= s < q:
+            raise OutOfRangeError(f"initial state {s} outside alphabet of size {q}")
+    # reads[i]: the cells cell i reads, in offset order
+    reads = [tuple((i + o) % n for o in offs) for i in range(n)]
     rng = random.Random(seed)
+    draw, randrange = rng.random, rng.randrange
+    cells = range(n)
+    purely = scheme == "purely"
     trace = []
+    record = trace.append
     for _ in range(steps):
-        if scheme == "purely":
-            active = tuple(i for i in range(n) if rng.random() < p)
-        else:
-            active = (rng.randrange(n),)
-        current = step_cyclic(rule, current, active)
-        trace.append(TraceStep(active=active, states=current))
-    return Trace(scheme=scheme, seed=seed, p=p if scheme == "purely" else None,
-                 initial=tuple(int(s) for s in initial), steps=tuple(trace))
+        active = tuple([i for i in cells if draw() < p]) if purely else (randrange(n),)
+        after = None
+        for i in active:
+            index = 0
+            for j in reads[i]:
+                index = index * q + current[j]
+            state = table[index]
+            if state != current[i]:  # a step that changes nothing keeps its tuple
+                if after is None:
+                    after = list(current)
+                after[i] = state
+        if after is not None:
+            current = tuple(after)
+        record(TraceStep(active, current))
+    return Trace(scheme=scheme, seed=seed, p=p if purely else None,
+                 initial=start, steps=tuple(trace))

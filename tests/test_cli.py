@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -145,6 +146,31 @@ class TestNakamura:
         doc = json.loads(result.stdout)
         assert doc["verdict"] == "invertible"
         assert doc["stats"]["windows"] == 12 ** 5
+
+    def test_verify_builds_the_pair_once(self, run_cli, tmp_path, monkeypatch):
+        from acainvert import cli, nakamura
+
+        calls = []
+
+        def counting(C, G):
+            calls.append((C, G))
+            return build(C, G)
+
+        build = nakamura.build_bar_pair
+        monkeypatch.setattr(cli, "build_bar_pair", counting)
+        monkeypatch.setattr(nakamura, "build_bar_pair", counting)
+        rule = write_wolfram(tmp_path, "rule.json", 170)
+        inverse = write_wolfram(tmp_path, "inverse.json", 240)
+        result = run_cli("nakamura", "--rule", rule, "--inverse", inverse,
+                         "--out-dir", str(tmp_path / "bar"), "--verify")
+        assert result.exit_code == 0
+        assert len(calls) == 1
+        # recorded when --verify still called verify_theorem1 after the build
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "960012983c3c08dfe6fee3160f29f0c34e54c7d6c18d39024712ed03e3be63e8"
+        )
+        report = nakamura.verify_theorem1(load_rule(rule), load_rule(inverse))
+        assert result.stdout == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 class TestWitnessR2:

@@ -95,6 +95,11 @@ class TestLocalRule:
         with pytest.raises(ValueError):
             rule_of([0, 2], 0)
 
+    @pytest.mark.parametrize("table, bad", [([0, 3, 1, 7], 3), ([1, -1, 5, 0], -1)])
+    def test_table_error_names_first_bad_value(self, table, bad):
+        with pytest.raises(ValueError, match=rf"^table value {bad} outside alphabet of size 2$"):
+            rule_of(table, -1, 1)
+
 
 class TestWolframCodec:
     def test_round_trip_all_256(self):

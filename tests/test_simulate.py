@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from acainvert import eca_from_wolfram
 from acainvert.errors import LatticeTooSmallError, NotOneDimensionalError, OutOfRangeError
-from acainvert.simulate import simulate, step_cyclic
+from acainvert.simulate import TraceStep, simulate, step_cyclic
 
 from naive_oracles import step_ring
 
@@ -16,6 +20,8 @@ def test_step_cyclic_wraps():
     assert step_cyclic(rule, (0, 0, 0), [0]) == (1, 0, 0)
     assert step_cyclic(rule, (0, 0, 0), [2]) == (0, 0, 1)
     assert step_cyclic(rule, (0, 0, 0), [0, 1, 2]) == (1, 1, 1)
+    # cells are taken modulo the size, in any order, and repeats count once
+    assert step_cyclic(rule, (0, 0, 0, 0), [5, 1, -3, 2, 2]) == (0, 1, 1, 0)
 
 
 def test_step_cyclic_matches_reference_oracle():
@@ -74,3 +80,143 @@ def test_validation_errors():
     flat = LocalRule(Alphabet(2), Neighborhood(2, (((0, 0)),)), (0, 1))
     with pytest.raises(NotOneDimensionalError):
         simulate(flat, [0, 1, 0], "purely", 1, seed=0)
+
+
+@pytest.mark.parametrize("initial", [[1.9, True, 0], [0, 1, "1"], [0, 1, 0.0], [0, 2, 1], [-1, 0, 1]])
+def test_bad_initial_states_are_refused(initial):
+    with pytest.raises(OutOfRangeError):
+        simulate(eca_from_wolfram(204), initial, "fully", 2, seed=0)
+
+
+@pytest.mark.parametrize("steps", [-3, 2.0, True, "2"])
+def test_bad_step_counts_are_refused(steps):
+    with pytest.raises(OutOfRangeError):
+        simulate(eca_from_wolfram(204), [0, 1, 0], "purely", steps, seed=0)
+
+
+def test_integer_like_states_are_accepted():
+    import numpy as np
+
+    trace = simulate(eca_from_wolfram(204), np.array([1, 0, 1]), "fully", 2, seed=0)
+    assert trace.initial == (1, 0, 1)
+    assert all(type(s) is int for s in trace.initial)
+    assert simulate(eca_from_wolfram(204), [0, 1, 0], "purely", 0, seed=0).steps == ()
+
+
+# ------------------------------------------------------------ pinned traces
+
+
+def _golden_groups():
+    """Seeded trace inputs, grouped; every input is derived from fixed seeds.
+
+    Each case is ``(rule, initial, scheme, steps, seed, p)``.  The groups
+    cover every ECA under both schemes, 3-state rules, a padded rule,
+    neighborhoods that omit 0 and the empty one, lattices exactly as long
+    as the neighborhood extent, and the activation probabilities 0, 0.3
+    and 1.
+    """
+    from acainvert import Alphabet, LocalRule, Neighborhood, with_neighborhood
+
+    rng = random.Random("golden-traces")
+
+    def line_rule(q, offsets):
+        size = q ** len(offsets)
+        table = tuple(rng.randrange(q) for _ in range(size))
+        return LocalRule(Alphabet(q), Neighborhood.line(*offsets), table)
+
+    def cases(rule, size, steps, schemes=("purely", "fully"), ps=(0.3,)):
+        out = []
+        for scheme in schemes:
+            for p in ps if scheme == "purely" else (0.5,):
+                initial = [rng.randrange(rule.q) for _ in range(size)]
+                out.append((rule, initial, scheme, steps, rng.randrange(1 << 31), p))
+        return out
+
+    groups = {}
+    for scheme in ("purely", "fully"):
+        groups[f"eca-{scheme}"] = [
+            case for n in range(256)
+            for case in cases(eca_from_wolfram(n), 11, 14, schemes=(scheme,))
+        ]
+    groups["q3"] = [
+        case for offsets in ((-1, 0, 1), (0, 1), (-2, 0), (0,))
+        for case in cases(line_rule(3, offsets), 13, 25)
+    ]
+    padded = with_neighborhood(eca_from_wolfram(30), Neighborhood.line(-2, -1, 0, 1, 3))
+    groups["padded"] = cases(padded, 12, 30)
+    groups["offsets-without-0"] = [
+        case for q, offsets in ((2, (-1, 1)), (2, (1, 2)), (3, (-3,)), (2, (-2, 2)))
+        for case in cases(line_rule(q, offsets), 9, 25)
+    ]
+    groups["empty-neighborhood"] = [
+        case for q in (2, 3) for case in cases(line_rule(q, ()), 5, 10)
+    ]
+    groups["size-equals-extent"] = [
+        case for q, offsets in ((2, (-1, 0, 1)), (3, (-2, 0, 1)), (2, (3,)), (2, ()), (3, (0, 4)))
+        for case in cases(line_rule(q, offsets), max(offsets, default=0) - min(offsets, default=0) + 1, 12)
+    ]
+    groups["p-extremes"] = [
+        case for n in (30, 54, 110, 204)
+        for case in cases(eca_from_wolfram(n), 10, 8, schemes=("purely",), ps=(0.0, 0.3, 1.0))
+    ]
+    return groups
+
+
+def _digest(group) -> str:
+    lines = [
+        json.dumps(simulate(rule, initial, scheme, steps, seed, p=p).to_dict(), sort_keys=True)
+        for rule, initial, scheme, steps, seed, p in group
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestTraceGoldenDigests:
+    """sha256 over the sorted-key JSON of each trace, one line per trace.
+
+    Recorded with the per-step ``step_cyclic`` loop that ``simulate`` had
+    before its step loop was inlined, so a trace that changes by one bit
+    or one random draw fails here.
+    """
+
+    DIGESTS = {
+        "eca-fully": "b4310b57dc6df3e805054a1012d903e57bdfda419ec3330ce485b73beb11f392",
+        "eca-purely": "80aee9d8348b70ded72a4b864c506327ef2abfbb41819b28b94c90478ba89ef0",
+        "empty-neighborhood": "5fcabbd5b617c9e9241e514e45fe7057dda13ac3c62f3b8849e834247ac201fc",
+        "offsets-without-0": "7aa22b43ea2507e4efcd0a0c5e87b5ba1d227b6d0fb72b6daee9e8e5f9ce9639",
+        "p-extremes": "ad1c6667eadf0ae7cb833917af0b58a3d514637fef94f5fc52364fed8f4ec8bb",
+        "padded": "86835c774e4d98a2d8b217abd72420dd9d67910604e4e61eaada57dc8ffd79af",
+        "q3": "411144c13a05b02d00f281370334b4a1ed5d919e1cc79b9e72c84075a0925df7",
+        "size-equals-extent": "79ab8a4870b270ef9784642dd496f1d5312341ae573099881931c816e25747b3",
+    }
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        return _golden_groups()
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, groups, name):
+        assert _digest(groups[name]) == self.DIGESTS[name]
+
+    def test_every_group_is_pinned(self, groups):
+        assert set(groups) == set(self.DIGESTS)
+
+
+def test_traces_replay_through_naive_oracle():
+    """Each step equals ``step_ring`` on a schedule drawn, as the docstring of
+    ``simulate`` says, from an independent ``random.Random(seed)``."""
+    for group in _golden_groups().values():
+        for rule, initial, scheme, steps, seed, p in group:
+            trace = simulate(rule, initial, scheme, steps, seed, p=p)
+            offsets = tuple(o[0] for o in rule.neighborhood.offsets)
+            rng = random.Random(seed)
+            n = len(initial)
+            states = tuple(initial)
+            assert trace.initial == states
+            assert len(trace.steps) == steps
+            for entry in trace.steps:
+                if scheme == "purely":
+                    active = tuple(i for i in range(n) if rng.random() < p)
+                else:
+                    active = (rng.randrange(n),)
+                states = step_ring(offsets, rule.q, rule.table, states, active)
+                assert entry == TraceStep(active, states)
