@@ -61,18 +61,14 @@ def step_cyclic(rule: LocalRule, states: Sequence[int], active: Iterable[int]) -
 
     Active cells are taken modulo the lattice size, in any order, and
     repeats count once.  Every active cell reads the pre-step states,
-    wrapping around the lattice; only the active cells' reads are computed,
-    whereas :func:`simulate` builds the reads of every cell once per call.
+    wrapping around the lattice.  :func:`simulate` does not call this; it
+    runs the same update with a read table built once per call.
     """
     n = len(states)
-    offsets = [off[0] for off in rule.neighborhood.offsets]
-    table, q = rule.table, rule.q
     out = list(states)
-    for a in {a % n for a in active}:
-        index = 0
-        for o in offsets:
-            index = index * q + states[(a + o) % n]
-        out[a] = table[index]
+    for a in sorted(set(active)):
+        local = [states[(a + off[0]) % n] for off in rule.neighborhood.offsets]
+        out[a % n] = rule.apply_local(local)
     return tuple(out)
 
 
@@ -136,7 +132,9 @@ def simulate(
             for j in reads[i]:
                 index = index * q + current[j]
             state = table[index]
-            if state != current[i]:  # a step that changes nothing keeps its tuple
+            # a step that changes nothing keeps its tuple: most fully steps
+            # of random rules are such steps, so the copy is skipped
+            if state != current[i]:
                 if after is None:
                     after = list(current)
                 after[i] = state
