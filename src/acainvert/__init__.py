@@ -3,7 +3,6 @@ deciders, inverse construction, and the elementary-rule atlas."""
 
 from .core import (
     ECA_NEIGHBORHOOD,
-    ActivationSet,
     Alphabet,
     Cell,
     LocalRule,
@@ -76,6 +75,6 @@ from .atlas import (
     diff_against_reference,
 )
 from .rulefmt import dump_rule, load_rule, rule_from_dict, rule_to_dict
-from .simulate import Trace, TraceStep, simulate, step_cyclic
+from .simulate import Trace, TraceStep, simulate
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
@@ -45,6 +46,9 @@ FULLY_INVERTIBLE_ECA = frozenset(
 )
 
 SCHEMES = ("purely", "fully")
+
+# rules sent to a worker process at a time
+_RULES_PER_TASK = 8
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,9 @@ def classify_all_eca(scheme: str, *, cap: int = DEFAULT_WINDOW_CAP, workers: int
     """Decide every Wolfram rule 0..255 under the given scheme.
 
     Rules are distributed over worker processes and reassembled in rule
-    order, so the report does not depend on the worker count.
+    order, so the report does not depend on the worker count.  The pool
+    starts at most one process per chunk of rules, since the rest would
+    have no work.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
@@ -139,8 +145,10 @@ def classify_all_eca(scheme: str, *, cap: int = DEFAULT_WINDOW_CAP, workers: int
     if workers <= 1:
         entries = [_classify_one(scheme, n, cap) for n in rules]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_classify_one, [scheme] * 256, rules, [cap] * 256, chunksize=8))
+        chunks = math.ceil(len(rules) / _RULES_PER_TASK)
+        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
+            entries = list(pool.map(_classify_one, [scheme] * 256, rules, [cap] * 256,
+                                    chunksize=_RULES_PER_TASK))
     return AtlasReport(scheme=scheme, entries=tuple(entries))
 
 

@@ -3,8 +3,8 @@
 Exit codes: 0 for a positive verdict (or plain success), 3 for a negative
 verdict (not invertible / reference diff non-empty), 2 for usage, format,
 or resource-cap errors.  All emitted JSON zeroes wall-clock fields, so
-identical invocations produce byte-identical output regardless of worker
-count.
+identical invocations produce byte-identical output; ``classify-eca``
+output does not depend on its ``--threads`` value either.
 """
 
 from __future__ import annotations
@@ -42,17 +42,18 @@ def _add_rule_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--wolfram", type=int, metavar="N", help="elementary rule number 0..255")
 
 
-def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
+def _add_cap_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, default=DEFAULT_WINDOW_CAP, metavar="K",
                         help="cap on the number of test windows q^|T| (default %(default)s)")
-    parser.add_argument("--threads", type=int, default=None, metavar="T",
-                        help="classify-eca worker processes; accepted and unused elsewhere "
-                             "(default: ACA_THREADS or 1)")
 
 
 def _resolve_threads(value: int | None) -> int:
     if value is None:
-        value = int(os.environ.get("ACA_THREADS", "1"))
+        text = os.environ.get("ACA_THREADS", "1")
+        try:
+            value = int(text)
+        except ValueError:
+            raise CaError(f"ACA_THREADS must be an integer, got {text!r}") from None
     if value < 1:
         raise CaError("thread count must be at least 1")
     return value
@@ -79,12 +80,7 @@ def _verdict_exit(verdict: Verdict) -> int:
 def _cmd_decide(args: argparse.Namespace) -> int:
     rule = _load_source(args)
     decider = decide_purely if args.scheme == "purely" else decide_fully_1d
-    report = decider(
-        rule,
-        window_cap=args.cap,
-        exhaustive=args.exhaustive,
-        workers=_resolve_threads(args.threads),
-    )
+    report = decider(rule, window_cap=args.cap, exhaustive=args.exhaustive)
     _print_json(report.to_dict())
     return _verdict_exit(report.verdict)
 
@@ -114,7 +110,6 @@ def _cmd_nakamura(args: argparse.Namespace) -> int:
     dump_rule(pair.forward, out_dir / "bar-forward.json", extra=encoding)
     dump_rule(pair.backward, out_dir / "bar-backward.json", extra=encoding)
     if args.verify:
-        _resolve_threads(args.threads)  # refuses a bad --threads; the check runs on one thread
         # check the pair built above; verify_theorem1 would build it again
         report = check_inverse_purely(pair.forward, pair.backward, cap=args.cap)
         _print_json(report.to_dict())
@@ -173,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("purely", "fully"), required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="on candidate failure, try every table over the minimized neighborhood")
-    _add_worker_flags(p)
+    _add_cap_flag(p)
     p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("classify-eca", help="classify all 256 elementary rules")
@@ -182,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="FILE", help="write the CSV report here")
     p.add_argument("--diff", action="store_true",
                    help="print the diff against the built-in reference list; exit 3 when non-empty")
-    _add_worker_flags(p)
+    _add_cap_flag(p)
+    p.add_argument("--threads", type=int, default=None, metavar="T",
+                   help="worker processes (default: ACA_THREADS or 1)")
     p.set_defaults(fn=_cmd_classify_eca)
 
     p = sub.add_parser("nakamura", help="build the purely asynchronous bar pair from a synchronous inverse pair")
@@ -191,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", metavar="DIR", required=True)
     p.add_argument("--verify", action="store_true",
                    help="run the purely asynchronous check on the bar pair")
-    _add_worker_flags(p)
+    _add_cap_flag(p)
     p.set_defaults(fn=_cmd_nakamura)
 
     p = sub.add_parser("witness-r2", help="print two windows with a common single-step successor")

@@ -32,7 +32,6 @@ __all__ = [
     "Neighborhood",
     "LocalRule",
     "WindowConfig",
-    "ActivationSet",
     "ECA_NEIGHBORHOOD",
     "add_cells",
     "local_config",
@@ -201,23 +200,6 @@ class LocalRule:
 
 
 @dataclass(frozen=True)
-class ActivationSet:
-    """A finite set of cells scheduled for simultaneous update."""
-
-    cells: frozenset[Cell]
-
-    @classmethod
-    def of(cls, cells: Iterable[int | Sequence[int]], dimension: int) -> "ActivationSet":
-        return cls(frozenset(as_cell(c, dimension) for c in cells))
-
-    def __iter__(self) -> Iterator[Cell]:
-        return iter(sorted(self.cells))
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-@dataclass(frozen=True)
 class WindowConfig:
     """An assignment of states to a finite set of cells.
 
@@ -259,10 +241,6 @@ class WindowConfig:
             raise ValueError("empty window has no dimension")
         return len(self.cells[0])
 
-    @property
-    def domain(self) -> frozenset[Cell]:
-        return frozenset(self.cells)
-
     def __getitem__(self, cell: int | Sequence[int]) -> int:
         if not self.cells:
             raise OutOfDomainError(f"cell {cell} not in empty window")
@@ -303,10 +281,10 @@ def local_config(config: WindowConfig, cell: int | Sequence[int], neighborhood: 
     return tuple(out)
 
 
-def step(rule: LocalRule, config: WindowConfig, active: ActivationSet | Iterable[int | Sequence[int]]) -> WindowConfig:
+def step(rule: LocalRule, config: WindowConfig, active: Iterable[int | Sequence[int]]) -> WindowConfig:
     """Apply the rule simultaneously at every active cell; all others hold."""
     dim = rule.neighborhood.dimension
-    cells = active.cells if isinstance(active, ActivationSet) else {as_cell(a, dim) for a in active}
+    cells = {as_cell(a, dim) for a in active}
     states = list(config.states)
     index = config._index
     for a in sorted(cells):

@@ -15,9 +15,7 @@ of D it fully determines keeps its state.  The fully check (d = 1) reads
 blocks of k = span(N ∪ {0}) consecutive cells, so it sweeps the de Bruijn
 graph of width k in O(|T|·q^k) steps (Sutner, Complex Systems 5, 1991).
 Both find the least violation enumeration would find, report the logical
-count q^|T| in ``stats.windows``, and run on one thread: ``workers`` and
-``chunk_size`` are accepted and not used, so reports are identical for
-every value of them.
+count q^|T| in ``stats.windows``, and run on one thread.
 
 Clause identifiers carried by witnesses:
 
@@ -81,7 +79,6 @@ __all__ = [
 
 DEFAULT_WINDOW_CAP = 1 << 24
 DEFAULT_CANDIDATE_CAP = 1 << 16
-DEFAULT_CHUNK = 1 << 18
 
 # windows are manipulated as int64 vectors; anything larger must be capped
 _INDEX_LIMIT = 1 << 62
@@ -313,7 +310,6 @@ def check_inverse_purely(
     *,
     cap: int = DEFAULT_WINDOW_CAP,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> DecisionReport:
     """Exact invertibility check for the purely asynchronous scheme.
 
@@ -325,8 +321,8 @@ def check_inverse_purely(
     finds it per D, pruned, and skips every window that cannot beat the
     least (window, D) found so far.  The backward direction runs only when
     the forward one holds, as a forward witness is reported first.
-    ``stats.windows`` counts the q^|T| logical windows; ``workers`` and
-    ``chunk_size`` are not used.
+    ``stats.windows`` counts the q^|T| logical windows; ``workers`` is
+    accepted and not used.
     """
     t0 = time.perf_counter()
     _require_pair(C, G)
@@ -398,8 +394,6 @@ def check_inverse_fully_1d(
     G: LocalRule,
     *,
     cap: int = DEFAULT_WINDOW_CAP,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> DecisionReport:
     """Exact invertibility check for the fully asynchronous scheme, d = 1.
 
@@ -410,8 +404,7 @@ def check_inverse_fully_1d(
     that order, is reported with its least window.  A clause constrains
     the block of k = span(N ∪ {0}) cells around each candidate (eq1 only
     the one around 0), so ``_least_path`` decides it in O(|T|·q^k) steps.
-    ``stats.windows`` counts q^|T| logical windows per clause pair;
-    ``workers`` and ``chunk_size`` are not used.
+    ``stats.windows`` counts q^|T| logical windows per clause pair.
     """
     t0 = time.perf_counter()
     if C.neighborhood.dimension != 1:
@@ -595,16 +588,13 @@ def decide_purely(
     window_cap: int = DEFAULT_WINDOW_CAP,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     exhaustive: bool = False,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> DecisionReport:
     """Decide purely asynchronous invertibility of a single rule.
 
     The neighborhood is minimized, the single candidate inverse derived and
     checked; with ``exhaustive`` every table over the minimized
     neighborhood is tried before a negative verdict.  A returned inverse is
-    re-expressed over the rule's original neighborhood.  ``workers`` and
-    ``chunk_size`` are accepted and not used.
+    re-expressed over the rule's original neighborhood.
     """
     return _decide(
         rule,
@@ -621,11 +611,8 @@ def decide_fully_1d(
     window_cap: int = DEFAULT_WINDOW_CAP,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     exhaustive: bool = False,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> DecisionReport:
-    """Decide fully asynchronous invertibility of a one-dimensional rule;
-    ``workers`` and ``chunk_size`` are accepted and not used."""
+    """Decide fully asynchronous invertibility of a one-dimensional rule."""
     if rule.neighborhood.dimension != 1:
         raise NotOneDimensionalError("fully asynchronous decision requires one dimension")
     return _decide(

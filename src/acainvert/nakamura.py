@@ -254,7 +254,7 @@ def verify_theorem1(
 
     The synchronous-inverse premise on (C, G) is the caller's claim; this
     verifies the construction's conclusion, which is the falsifiable part.
-    ``workers`` is accepted and not used.
+    The check runs on one thread; ``workers`` is accepted and not used.
     """
     pair = build_bar_pair(C, G)
     return check_inverse_purely(pair.forward, pair.backward, cap=cap)

@@ -6,15 +6,16 @@ work on finite windows and never consult this module.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .core import LocalRule
 from .errors import LatticeTooSmallError, NotOneDimensionalError, OutOfRangeError
 
-__all__ = ["TraceStep", "Trace", "step_cyclic", "simulate"]
+__all__ = ["TraceStep", "Trace", "simulate"]
 
 SCHEMES = ("purely", "fully")
 
@@ -56,22 +57,6 @@ def _integer(value: Any, what: str) -> int:
         raise OutOfRangeError(f"{what} must be an integer, got {value!r}") from None
 
 
-def step_cyclic(rule: LocalRule, states: Sequence[int], active: Iterable[int]) -> tuple[int, ...]:
-    """Apply the rule at the active cells of a cyclic lattice; others hold.
-
-    Active cells are taken modulo the lattice size, in any order, and
-    repeats count once.  Every active cell reads the pre-step states,
-    wrapping around the lattice.  :func:`simulate` does not call this; it
-    runs the same update with a read table built once per call.
-    """
-    n = len(states)
-    out = list(states)
-    for a in sorted(set(active)):
-        local = [states[(a + off[0]) % n] for off in rule.neighborhood.offsets]
-        out[a % n] = rule.apply_local(local)
-    return tuple(out)
-
-
 def simulate(
     rule: LocalRule,
     initial: Sequence[int],
@@ -94,15 +79,17 @@ def simulate(
     pre-step states of the active cells' reads.
 
     Initial states must be integers of the rule's alphabet (bool, float and
-    str are refused, not truncated) and ``steps`` a non-negative integer;
-    otherwise :class:`OutOfRangeError` is raised.
+    str are refused, not truncated), ``steps`` a non-negative integer and
+    ``p`` a real number in [0, 1] (not bool); otherwise
+    :class:`OutOfRangeError` is raised.
     """
     if rule.neighborhood.dimension != 1:
         raise NotOneDimensionalError("cyclic simulation handles 1-D rules only")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRangeError("activation probability must lie in [0, 1]")
+    # p is serialized as given, so it is checked, not coerced to float
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise OutOfRangeError(f"activation probability must be a number in [0, 1], got {p!r}")
     steps = _integer(steps, "step count")
     if steps < 0:
         raise OutOfRangeError(f"step count must be non-negative, got {steps}")

@@ -78,20 +78,35 @@ class TestDecide:
         assert result.exit_code == 2
         assert result.stdout == ""
 
-    def test_threads_flag_does_not_change_output(self, run_cli):
-        one = run_cli("decide", "--wolfram", "110", "--scheme", "fully", "--threads", "1")
-        two = run_cli("decide", "--wolfram", "110", "--scheme", "fully", "--threads", "2")
-        assert one.stdout == two.stdout
-        assert one.exit_code == two.exit_code == 3
+    def test_threads_flag_is_a_usage_error(self, run_cli, tmp_path):
+        # the checks run on one thread; only classify-eca sizes a pool
+        rule = write_wolfram(tmp_path, "f.json", 170)
+        inverse = write_wolfram(tmp_path, "g.json", 240)
+        for argv in (
+            ("decide", "--wolfram", "110", "--scheme", "fully"),
+            ("nakamura", "--rule", rule, "--inverse", inverse,
+             "--out-dir", str(tmp_path / "bar"), "--verify"),
+        ):
+            result = run_cli(*argv, "--threads", "2")
+            assert result.exit_code == 2, argv[0]
+            assert result.stdout == ""
+        assert not (tmp_path / "bar").exists()
 
     def test_threads_env_default(self, run_cli, monkeypatch):
         monkeypatch.setenv("ACA_THREADS", "2")
-        result = run_cli("decide", "--wolfram", "204", "--scheme", "purely")
+        result = run_cli("classify-eca", "--scheme", "purely", "--diff")
         assert result.exit_code == 0
 
     def test_bad_thread_count_exits_two(self, run_cli):
-        result = run_cli("decide", "--wolfram", "204", "--scheme", "purely", "--threads", "0")
+        result = run_cli("classify-eca", "--scheme", "purely", "--diff", "--threads", "0")
         assert result.exit_code == 2
+
+    def test_non_integer_threads_env_exits_two(self, run_cli, monkeypatch, capsys):
+        monkeypatch.setenv("ACA_THREADS", "abc")
+        result = run_cli("classify-eca", "--scheme", "purely", "--diff")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "ACA_THREADS" in capsys.readouterr().err
 
 
 class TestClassifyEca:

@@ -18,6 +18,7 @@ from acainvert import (
     eca_from_wolfram,
     local_config,
     minimize_neighborhood,
+    simulate,
     step,
     translate,
     with_neighborhood,
@@ -218,16 +219,16 @@ def test_translation_commutes_with_step(n, states, j):
 @given(
     n=st.integers(0, 255),
     states=st.lists(st.integers(0, 1), min_size=5, max_size=9),
-    data=st.data(),
+    scheme=st.sampled_from(("purely", "fully")),
+    seed=st.integers(0, 2**32),
 )
-def test_ring_step_matches_reference(n, states, data):
+def test_ring_step_matches_reference(n, states, scheme, seed):
     rule = eca_from_wolfram(n)
-    size = len(states)
-    active = data.draw(st.lists(st.integers(0, size - 1), unique=True))
-    from acainvert.simulate import step_cyclic
-
-    expected = step_ring((-1, 0, 1), 2, rule.table, tuple(states), active)
-    assert tuple(step_cyclic(rule, states, active)) == expected
+    current = tuple(states)
+    for entry in simulate(rule, states, scheme, 4, seed).steps:
+        expected = step_ring((-1, 0, 1), 2, rule.table, current, entry.active)
+        assert entry.states == expected
+        current = entry.states
 
 
 class TestMinimizeNeighborhood:

@@ -167,9 +167,7 @@ class TestCheckInversePurely:
     def test_worker_count_does_not_change_result(self):
         base = check_inverse_purely(eca_from_wolfram(110), eca_from_wolfram(110))
         for workers in (2, 4):
-            rep = check_inverse_purely(
-                eca_from_wolfram(110), eca_from_wolfram(110), workers=workers, chunk_size=4
-            )
+            rep = check_inverse_purely(eca_from_wolfram(110), eca_from_wolfram(110), workers=workers)
             assert rep.to_dict() == base.to_dict()
 
     def test_matches_naive_oracle_on_eca_pairs(self):
@@ -525,3 +523,52 @@ def test_purely_check_matches_naive_property(n, g):
     got = check_inverse_purely(eca_from_wolfram(n), eca_from_wolfram(g)).verdict
     want = naive_check_purely((-1, 0, 1), 2, eca_from_wolfram(n).table, eca_from_wolfram(g).table)
     assert (got is Verdict.INVERTIBLE) == want
+
+
+def mirrored(rule):
+    """The rule on the mirrored lattice: offsets negated, table re-indexed."""
+    offsets = [n[0] for n in rule.neighborhood.offsets]
+    neighborhood = Neighborhood.line(*(-o for o in offsets))
+    mirror = [n[0] for n in neighborhood.offsets]
+    table = []
+    for local in itertools.product(range(rule.q), repeat=rule.arity):
+        seen = dict(zip(mirror, local))
+        table.append(rule.apply_local([seen[-o] for o in offsets]))
+    return LocalRule(rule.alphabet, neighborhood, tuple(table))
+
+
+def relabeled(rule, perm):
+    """The rule with every state s renamed perm[s]."""
+    back = {t: s for s, t in enumerate(perm)}
+    table = tuple(
+        perm[rule.apply_local([back[s] for s in local])] for local in rule.all_locals()
+    )
+    return LocalRule(rule.alphabet, rule.neighborhood, table)
+
+
+@pytest.mark.parametrize("decide", [decide_purely, decide_fully_1d])
+def test_eca_verdicts_invariant_under_mirror_and_state_swap(decide):
+    for n in range(256):
+        rule = eca_from_wolfram(n)
+        base = decide(rule)
+        for transform in (mirrored, lambda r: relabeled(r, (1, 0))):
+            image = decide(transform(rule))
+            assert image.verdict is base.verdict, n
+            if base.inverse is not None:
+                assert image.inverse == transform(base.inverse), n
+
+
+def test_purely_verdicts_invariant_under_mirror_and_state_permutation():
+    rng = random.Random(2718)
+    verdicts = set()
+    for _ in range(200):
+        q = rng.choice((2, 3))
+        offsets = sorted(rng.sample(range(-2, 3), rng.randint(1, 3)))
+        table = tuple(rng.randrange(q) for _ in range(q ** len(offsets)))
+        rule = LocalRule(Alphabet(q), Neighborhood.line(*offsets), table)
+        perm = tuple(rng.sample(range(q), q))
+        want = decide_purely(rule).verdict
+        verdicts.add(want)
+        assert decide_purely(mirrored(rule)).verdict is want, (q, offsets, table)
+        assert decide_purely(relabeled(rule, perm)).verdict is want, (q, offsets, table, perm)
+    assert verdicts == {Verdict.INVERTIBLE, Verdict.NOT_INVERTIBLE}

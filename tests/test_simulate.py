@@ -5,32 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from acainvert import eca_from_wolfram
 from acainvert.errors import LatticeTooSmallError, NotOneDimensionalError, OutOfRangeError
-from acainvert.simulate import TraceStep, simulate, step_cyclic
+from acainvert.simulate import TraceStep, simulate
 
 from naive_oracles import step_ring
-
-
-def test_step_cyclic_wraps():
-    rule = eca_from_wolfram(204)  # toggles the active cell
-    assert step_cyclic(rule, (0, 0, 0), [0]) == (1, 0, 0)
-    assert step_cyclic(rule, (0, 0, 0), [2]) == (0, 0, 1)
-    assert step_cyclic(rule, (0, 0, 0), [0, 1, 2]) == (1, 1, 1)
-    # cells are taken modulo the size, in any order, and repeats count once
-    assert step_cyclic(rule, (0, 0, 0, 0), [5, 1, -3, 2, 2]) == (0, 1, 1, 0)
-
-
-def test_step_cyclic_matches_reference_oracle():
-    rule = eca_from_wolfram(110)
-    states = (0, 1, 1, 0, 1, 0, 0, 1)
-    for active in ([], [0], [3, 4], list(range(8))):
-        assert step_cyclic(rule, states, active) == step_ring(
-            (-1, 0, 1), 2, rule.table, states, active
-        )
 
 
 def test_fully_scheme_activates_exactly_one_cell():
@@ -80,6 +64,18 @@ def test_validation_errors():
     flat = LocalRule(Alphabet(2), Neighborhood(2, (((0, 0)),)), (0, 1))
     with pytest.raises(NotOneDimensionalError):
         simulate(flat, [0, 1, 0], "purely", 1, seed=0)
+
+
+@pytest.mark.parametrize("p", [True, False, "0.5", None, float("nan")])
+def test_bad_probabilities_are_refused(p):
+    with pytest.raises(OutOfRangeError):
+        simulate(eca_from_wolfram(110), [0, 1, 0], "purely", 1, seed=0, p=p)
+
+
+@pytest.mark.parametrize("p", [0, Fraction(1, 3), np.float64(0.5)])
+def test_probability_is_kept_as_given(p):
+    trace = simulate(eca_from_wolfram(110), [0, 1, 0], "purely", 2, seed=0, p=p)
+    assert trace.p is p
 
 
 @pytest.mark.parametrize("initial", [[1.9, True, 0], [0, 1, "1"], [0, 1, 0.0], [0, 2, 1], [-1, 0, 1]])
@@ -173,7 +169,7 @@ def _digest(group) -> str:
 class TestTraceGoldenDigests:
     """sha256 over the sorted-key JSON of each trace, one line per trace.
 
-    Recorded with the per-step ``step_cyclic`` loop that ``simulate`` had
+    Recorded with the per-step cyclic update loop that ``simulate`` had
     before its step loop was inlined, so a trace that changes by one bit
     or one random draw fails here.
     """
