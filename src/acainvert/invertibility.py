@@ -10,10 +10,13 @@ Neither check enumerates Q^T.  The purely clause for an activation set D
 reads only the cells S = D ∪ (D+N), so its least violating window is the
 least violating assignment to S with zeros elsewhere; the check sweeps
 each D on its own, growing assignments to S cell by cell in bounded
-blocks of numpy rows and dropping a partial assignment as soon as a cell
-of D it fully determines keeps its state.  The fully check (d = 1) reads
-blocks of k = span(N ∪ {0}) consecutive cells, so it sweeps the de Bruijn
-graph of width k in O(|T|·q^k) steps (Sutner, Complex Systems 5, 1991).
+blocks of numpy rows.  A cell c of D is decided once its last read
+c + max(N ∪ {0}) is assigned; that cell then grows each partial
+assignment only by the states that make c change, listed per assignment
+of c's other reads in a flip table built from the rule's table.  The
+fully check (d = 1) reads blocks of k = span(N ∪ {0}) consecutive cells,
+so it sweeps the de Bruijn graph of width k in O(|T|·q^k) steps (Sutner,
+Complex Systems 5, 1991).
 Both find the least violation enumeration would find, report the logical
 count q^|T| in ``stats.windows``, and run on one thread.
 
@@ -219,55 +222,84 @@ _SWEEP_BLOCK = 1 << 14
 class _SetPlan:
     """How the purely sweep for one activation set D reads its rows.
 
-    A row holds the states of the cells S = D ∪ (D+N), in window order,
-    then the stepped state of each cell of D.  ``weights`` are the window
-    index weights of S.  ``flips[i]`` lists the cells of D that can be
-    tested once column i is assigned, as (column, neighbor columns,
-    stepped column); ``undo`` lists (column, neighbor columns after the
-    step) for every cell of D.
+    A row holds the states of the cells S = D + M, M = N ∪ {0}, in window
+    order, then the stepped state of each cell of D.  ``positions`` are
+    the window positions of S and ``weights`` their window index weights.
+    A cell c of D can be tested once its last read c + max(M) is assigned,
+    and distinct cells have distinct last reads, so column i completes at
+    most one test: ``tests[i]`` is None or (columns of the test's other
+    reads along M, stepped column).  ``undo`` lists (column, neighbor
+    columns after the step) for every cell of D.
     """
 
-    cells: tuple[Cell, ...]
+    positions: tuple[int, ...]
     weights: np.ndarray
-    flips: tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
-    undo: tuple[tuple[int, tuple[int, ...]], ...]
+    tests: tuple[tuple[list[int], int] | None, ...]
+    undo: tuple[tuple[int, list[int]], ...]
 
     @classmethod
-    def build(cls, active, reads: dict[Cell, tuple[Cell, ...]], weight: dict[Cell, int]) -> "_SetPlan":
-        cells = sorted(set(active).union(*(reads[c] for c in active)))
-        column = {cell: i for i, cell in enumerate(cells)}
+    def build(
+        cls, active: list[int], sums: list[list[int]], own: list[int], zero: int, weights: np.ndarray
+    ) -> "_SetPlan":
+        """``active`` and ``own`` index D and N into M, ``zero`` indexes 0,
+        and ``sums[i][j]`` is the window position of M[i] + M[j]."""
+        positions = sorted({x for i in active for x in sums[i]})
+        column = {x: col for col, x in enumerate(positions)}
         stepped = dict(column)
-        stepped.update((c, len(cells) + j) for j, c in enumerate(active))
-        flips: list[list] = [[] for _ in cells]
-        for c in active:
-            own = tuple(column[x] for x in reads[c])
-            flips[max((column[c],) + own)].append((column[c], own, stepped[c]))
+        tests: list = [None] * len(positions)
+        for j, i in enumerate(active):
+            reads = [column[x] for x in sums[i]]
+            stepped[sums[i][zero]] = len(positions) + j
+            tests[reads[-1]] = (reads[:-1], len(positions) + j)
         return cls(
-            cells=tuple(cells),
-            weights=np.array([weight[cell] for cell in cells], dtype=np.int64),
-            flips=tuple(map(tuple, flips)),
-            undo=tuple((column[c], tuple(stepped[x] for x in reads[c])) for c in active),
+            positions=tuple(positions),
+            weights=weights[positions],
+            tests=tuple(tests),
+            undo=tuple((column[sums[i][zero]], [stepped[sums[i][j]] for j in own]) for i in active),
         )
 
 
-def _local_indices(rows: np.ndarray, columns: tuple[int, ...], q: int):
-    index = 0
+def _flip_table(tab: np.ndarray, q: int, k: int, zero: int, padded: bool):
+    """The local configurations over M = N ∪ {0}, read in order, whose
+    update by the rule table ``tab`` changes the center.
+
+    Row p of the (q^(k-1), q) table, k = |M|, holds the configurations
+    whose first k - 1 reads have index p; it is stored compressed as the
+    ``counts[p]`` entries that end at ``ends[p]``, each a last read
+    (``digits``, ascending) with its new center state (``states``).
+    When N lacks 0 (``padded``), M reads 0 as a dummy the table skips.
+    """
+    # axis 1 is the read of 0
+    out = tab.reshape(-1, 1 if padded else q, q ** (k - 1 - zero))
+    if padded:
+        out = out.repeat(q, axis=1)
+    change = out != np.arange(q)[:, None]
+    counts = change.reshape(-1, q).sum(axis=1)
+    return counts, counts.cumsum(), change.ravel().nonzero()[0] % q, out[change]
+
+
+def _local_indices(rows: np.ndarray, columns: list[int], q: int) -> np.ndarray:
+    index = np.zeros(len(rows), dtype=np.int64)
     for col in columns:
-        index = index * q + rows[:, col].astype(np.int64)
+        index = index * q + rows[:, col]
     return index
 
 
-def _purely_sweep(q: int, plan: _SetPlan, tab1, tab2, bound: int | None):
-    """Least window, as a row over S, whose flip by ``tab1`` at every cell
-    of D is not undone by ``tab2``; only windows whose zero-padded index is
-    below ``bound`` count.  None if there is none.
+def _purely_sweep(q: int, plan: _SetPlan, flips, tab2, bound: int | None):
+    """Least window, as a row over S, whose flip by the rule behind
+    ``flips`` at every cell of D is not undone by ``tab2``; only windows
+    whose zero-padded index is below ``bound`` count.  None if there is none.
 
-    Rows grow one cell at a time in window order, so every block of rows
-    stays lexicographically sorted, and a row is dropped as soon as a cell
-    of D whose reads are all assigned keeps its state.  Blocks wait on a
-    stack, least on top, so the first violation found is the least.
+    Rows grow one cell at a time in window order.  A column that completes
+    a test gets only the digits that make the tested cell change state,
+    read off the flip table by the row's other reads of M; every other
+    column gets all q digits.  Children follow their parent, in digit
+    order, so every block of rows stays lexicographically sorted.  Blocks
+    wait on a stack, least on top, so the first violation found is the
+    least.
     """
-    m = len(plan.cells)
+    counts, ends, flip_digits, flip_states = flips
+    m = len(plan.positions)
     dtype = np.min_scalar_type(q)
     digits = np.arange(q, dtype=dtype)
     stack = [(0, np.zeros((1, m + len(plan.undo)), dtype=dtype))]
@@ -278,27 +310,35 @@ def _purely_sweep(q: int, plan: _SetPlan, tab1, tab2, bound: int | None):
             size = max(1, _SWEEP_BLOCK // q)
             stack.extend((level, rows[lo : lo + size]) for lo in reversed(range(0, n, size)))
             continue
-        rows = np.repeat(rows, q, axis=0)
-        # np.repeat returns a fresh C-ordered array, so this reshape is a view
-        rows.reshape(n, q, -1)[:, :, level] = digits
+        test = plan.tests[level]
+        if test is None:
+            rows = rows.repeat(q, axis=0)
+            # repeat returns a fresh C-ordered array, so this reshape is a view
+            rows.reshape(n, q, -1)[:, :, level] = digits
+        else:
+            reads, out_col = test
+            prefix = _local_indices(rows, reads, q)
+            count = counts[prefix]
+            rows = rows.repeat(count, axis=0)
+            # child j of a parent takes flip entry ends[prefix] - count + j
+            slot = np.arange(len(rows)) + (ends[prefix] - count.cumsum()).repeat(count)
+            rows[:, level] = flip_digits[slot]
+            rows[:, out_col] = flip_states[slot]
         if bound is not None:
             keep = int(np.searchsorted(rows[:, : level + 1] @ plan.weights[: level + 1], bound))
             if keep < len(rows):
                 # rows still on the stack come later in window order
                 stack.clear()
                 rows = rows[:keep]
-        for col, reads, out_col in plan.flips[level]:
-            rows[:, out_col] = tab1[_local_indices(rows, reads, q)]
-            rows = rows[rows[:, out_col] != rows[:, col]]
         if not len(rows):
             continue
         if level + 1 < m:
             stack.append((level + 1, rows))
             continue
-        undone = np.ones(len(rows), dtype=bool)
+        missed = False
         for col, reads in plan.undo:
-            undone &= tab2[_local_indices(rows, reads, q)] == rows[:, col]
-        hits = np.flatnonzero(~undone)
+            missed = missed | (tab2[_local_indices(rows, reads, q)] != rows[:, col])
+        hits = missed.nonzero()[0]
         if len(hits):
             return rows[hits[0], :m]
     return None
@@ -318,11 +358,11 @@ def check_inverse_purely(
     rule at the same set, in both directions.  The clause for a set D
     reads only S = D ∪ (D+N), so its least violating window is the least
     violating assignment to S with zeros elsewhere; ``_purely_sweep``
-    finds it per D, pruned, and skips every window that cannot beat the
-    least (window, D) found so far.  The backward direction runs only when
-    the forward one holds, as a forward witness is reported first.
-    ``stats.windows`` counts the q^|T| logical windows; ``workers`` is
-    accepted and not used.
+    finds it per D, growing rows only by digits that flip, and skips every
+    window that cannot beat the least (window, D) found so far.  The
+    backward direction runs only when the forward one holds, as a forward
+    witness is reported first.  ``stats.windows`` counts the q^|T| logical
+    windows; ``workers`` is accepted and not used.
     """
     t0 = time.perf_counter()
     _require_pair(C, G)
@@ -333,24 +373,35 @@ def check_inverse_purely(
         raise ResourceCapExceededError(
             f"purely test window needs {windows} window assignments, cap is {cap}"
         )
-    reads = {c: C.neighborhood.shifted(c) for active in tw.active_family for c in active}
-    weight = {cell: q ** (len(tw.cells) - 1 - i) for i, cell in enumerate(tw.cells)}
-    plans = [_SetPlan.build(active, reads, weight) for active in tw.active_family]
+    neighborhood = C.neighborhood
+    reach = sorted({neighborhood.origin, *neighborhood.offsets})  # M = N ∪ {0}
+    index = {cell: i for i, cell in enumerate(reach)}
+    position = {cell: x for x, cell in enumerate(tw.cells)}
+    sums = [[position[add_cells(a, b)] for b in reach] for a in reach]
+    own = [index[n] for n in neighborhood.offsets]
+    zero = index[neighborhood.origin]
+    k = len(reach)
+    weights = q ** np.arange(len(tw.cells) - 1, -1, -1, dtype=np.int64)
+    plans = [
+        _SetPlan.build([index[c] for c in active], sums, own, zero, weights) for active in tw.active_family
+    ]
     directions = (
         (CLAUSE_PURELY_FORWARD, C.table_array, G.table_array),
         (CLAUSE_PURELY_BACKWARD, G.table_array, C.table_array),
     )
     for clause, tab1, tab2 in directions:
+        flips = _flip_table(tab1, q, k, zero, not neighborhood.contains_origin)
         best = None
         for active, plan in zip(tw.active_family, plans):
-            row = _purely_sweep(q, plan, tab1, tab2, None if best is None else best[0])
+            row = _purely_sweep(q, plan, flips, tab2, None if best is None else best[0])
             if row is not None:
                 best = (int(row @ plan.weights), active, plan, row)
         if best is not None:
             _, active, plan, row = best
-            states = dict.fromkeys(tw.cells, 0)
-            states.update(zip(plan.cells, row.tolist()))
-            witness = Witness(WindowConfig.from_mapping(states), active, clause)
+            states = [0] * len(tw.cells)
+            for x, state in zip(plan.positions, row.tolist()):
+                states[x] = state
+            witness = Witness(WindowConfig(tw.cells, tuple(states)), active, clause)
             stats = EnumerationStats(windows, (time.perf_counter() - t0) * 1000.0)
             return DecisionReport(Verdict.NOT_INVERTIBLE, None, witness, stats)
     stats = EnumerationStats(windows, (time.perf_counter() - t0) * 1000.0)

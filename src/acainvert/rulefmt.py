@@ -76,18 +76,38 @@ def rule_from_dict(doc: Any) -> LocalRule:
 
 
 def load_rule(path: str | Path) -> LocalRule:
+    """Read a rule document from a UTF-8 JSON file."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise RuleFormatError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise RuleFormatError(f"{path}: JSON nested too deeply to parse") from exc
     return rule_from_dict(doc)
 
 
 def dump_rule(rule: LocalRule, path: str | Path, extra: dict[str, Any] | None = None) -> None:
+    """Write the rule document, plus the fields of ``extra``, as
+    ``json.dumps(doc, indent=2)`` and a newline.
+
+    json encodes an indented document item by item in Python, so the
+    table, whose entries are integers, is rendered by json's C encoder
+    with the indented item separator and spliced into the rest; the bytes
+    are the same.  ``extra`` may not replace a rule field.
+    """
     doc = rule_to_dict(rule)
     if extra:
+        clash = sorted(doc.keys() & extra.keys())
+        if clash:
+            raise ValueError(f"extra fields {clash} would replace rule fields")
         doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    # the only line that starts with exactly two spaces and "table" is the
+    # top-level key: deeper keys are indented further, and JSON strings
+    # hold no raw newline
+    head = json.dumps({**doc, "table": []}, indent=2)
+    items = json.dumps(doc["table"], separators=(",\n    ", ": "))
+    text = head.replace('\n  "table": []', '\n  "table": [\n    ' + items[1:-1] + "\n  ]", 1)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def window_to_dict(window: WindowConfig) -> dict[str, Any]:

@@ -16,6 +16,14 @@ def write_wolfram(tmp_path, name, number):
     return str(path)
 
 
+# rule files that json cannot read: not UTF-8, and nested past the parser's
+# recursion limit
+UNREADABLE = {
+    "not-utf8": b'\xff{"wolfram": 110}',
+    "deep-nesting": b"[" * 100_000,
+}
+
+
 class TestDecide:
     def test_invertible_rule_exits_zero(self, run_cli):
         result = run_cli("decide", "--wolfram", "204", "--scheme", "purely")
@@ -77,6 +85,15 @@ class TestDecide:
         result = run_cli("decide", "--rule", str(path), "--scheme", "purely")
         assert result.exit_code == 2
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    def test_unreadable_rule_file_exits_two(self, run_cli, tmp_path, capsys, kind):
+        path = tmp_path / "bad.json"
+        path.write_bytes(UNREADABLE[kind])
+        result = run_cli("decide", "--rule", str(path), "--scheme", "purely")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert str(path) in capsys.readouterr().err
 
     def test_threads_flag_is_a_usage_error(self, run_cli, tmp_path):
         # the checks run on one thread; only classify-eca sizes a pool
@@ -151,6 +168,19 @@ class TestNakamura:
         assert backward.alphabet.size == 12
         doc = json.loads((out_dir / "bar-forward.json").read_text())
         assert doc["encoding"]["bar_state"] == "code = curr * 3q + old * 3 + time"
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    def test_unreadable_rule_file_exits_two(self, run_cli, tmp_path, capsys, kind):
+        good = write_wolfram(tmp_path, "good.json", 204)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(UNREADABLE[kind])
+        for rule, inverse in ((str(bad), good), (good, str(bad))):
+            result = run_cli("nakamura", "--rule", rule, "--inverse", inverse,
+                             "--out-dir", str(tmp_path / "bar"), "--verify")
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "bar").exists()
 
     def test_verify_prints_report(self, run_cli, tmp_path):
         rule = write_wolfram(tmp_path, "rule.json", 51)

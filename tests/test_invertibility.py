@@ -322,7 +322,9 @@ class TestPurelyGoldenWitnesses:
         assert sha256_of(docs) == "f18f46c0419836f1d36ab84400f0c3222624502d6e17f80a770fccdd2ae67d86"
 
 
-@pytest.mark.parametrize("offsets,q", [((), 2), ((0,), 2), ((1,), 2), ((-1, 0), 2), ((0,), 3)])
+@pytest.mark.parametrize(
+    "offsets,q", [((), 2), ((0,), 2), ((1,), 2), ((-1, 0), 2), ((0,), 3), ((-1, 1), 2), ((1,), 3)]
+)
 def test_purely_witness_matches_naive_least_witness(offsets, q):
     neighborhood = Neighborhood.line(*offsets)
     tables = [tuple(t) for t in all_tables(q, len(offsets))]
@@ -382,6 +384,58 @@ class TestDeriveCandidate:
             candidate = derive_candidate_inverse(rule)
             rep = check_inverse_purely(rule, candidate)
             assert rep.verdict is Verdict.INVERTIBLE
+
+
+def _unpinned_candidate_rules(rng, count):
+    """Seeded rules with 0 in N, q in {2, 3} and offsets in [-2, 2] whose
+    candidate derivation succeeds; each entry keeps its center with
+    probability 1/2, so that 3-state rules derive too."""
+    rules = []
+    while len(rules) < count:
+        q = rng.choice((2, 3))
+        # most binary rules stay within [-1, 1], where the fully check runs too
+        near = q == 2 and rng.random() < 0.75
+        others = rng.sample([-1, 1] if near else [-2, -1, 1, 2], rng.randint(0, 2 if near or q == 3 else 3))
+        offsets = tuple(sorted(others + [0]))
+        weight = q ** (len(offsets) - 1 - offsets.index(0))
+        table = [
+            (i // weight) % q if rng.random() < 0.5 else rng.randrange(q) for i in range(q ** len(offsets))
+        ]
+        rule = rule_of(table, *offsets, q=q)
+        candidate = derive_candidate_inverse(rule)
+        if isinstance(candidate, LocalRule):
+            rules.append((rule, candidate, weight))
+    return rules
+
+
+def test_candidate_is_unique_at_unpinned_entries():
+    """An entry no flip of the rule maps to is unpinned: the candidate
+    keeps the center there, and any other value there is flipped back by
+    no rule entry, so the changed table is no inverse under either scheme.
+    Fully checks run on binary rules with offsets in [-1, 1]; wider fully
+    windows exceed the cap."""
+    rng = random.Random(7)
+    variations = {"purely": 0, "fully": 0}
+    for rule, candidate, weight in _unpinned_candidate_rules(rng, 265):
+        q = rule.q
+        # the flip images of the rule, computed from its table here
+        pinned = {i + (out - (i // weight) % q) * weight for i, out in enumerate(rule.table)}
+        unpinned = [i for i in range(len(rule.table)) if i not in pinned]
+        fully = q == 2 and all(abs(o[0]) <= 1 for o in rule.neighborhood.offsets)
+        for i in unpinned:
+            assert candidate.table[i] == (i // weight) % q
+            for value in range(q):
+                if value == candidate.table[i]:
+                    continue
+                table = list(candidate.table)
+                table[i] = value
+                other = LocalRule(rule.alphabet, rule.neighborhood, tuple(table))
+                assert check_inverse_purely(rule, other).verdict is Verdict.NOT_INVERTIBLE, (rule, i, value)
+                variations["purely"] += 1
+                if fully:
+                    assert check_inverse_fully_1d(rule, other).verdict is Verdict.NOT_INVERTIBLE, (rule, i, value)
+                    variations["fully"] += 1
+    assert variations["purely"] >= 600 and variations["fully"] >= 100, variations
 
 
 class TestDecidePurely:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -22,6 +23,7 @@ from acainvert.errors import (
     OutOfDomainError,
 )
 from acainvert.invertibility import Verdict
+from acainvert.rulefmt import dump_rule
 from acainvert.nakamura import (
     BarState,
     bar_alphabet,
@@ -223,6 +225,47 @@ class TestBarTableGoldenDigests:
         C, G = bar_table_inputs()[index]
         pair = build_bar_pair(C, G)
         assert sha256_of([pair.forward.table, pair.backward.table]) == BAR_TABLE_DIGESTS[index]
+
+
+BAR_FILE_DIGESTS = [
+    ("5dd15fa70a93a64dba293267d4d748c2349363e334361147f98c061ea6256a9e",
+     "1405e0b9813c4f6ecd0f3857055b84749756ff9eded81ea374d7280c682c72aa"),
+    ("0190002dc869b8a72e0bacbcff93ee7a3b28e854dcb866e28f8aa6b4e7862cc4",
+     "b5ae4750d81885754a4b6230b02ba3926711c2f5703c94904d1d14640ba0f6bf"),
+    ("ecf5fac74e4fd0ed899bcecbbc43d94750222db05d1a00a434f03fe5b4d148a7",
+     "b66a44fd6391cae6c35c176e81785a200ad96c54549c6ce5edea2e34623bc144"),
+    ("3290516ed992dce1c66f42e74cac76baf1a2486871171947bd932a8af53fe92b",
+     "dc204d771b321ad1df76791eb1e57f7f37893052ba4b211d01fc6c18919b4882"),
+    ("311094e99d06df5ef773be0cdc54898a6db2f82f3be98cd20ef09b488110ca25",
+     "e4b5abd4b552493149e88e935234d4e2cb709450f04da9709e80abf3a97f3a70"),
+    ("5573a910c2ea058d3d680cec384367b4f011c8c604690eebc1c0da4a5c449fa4",
+     "9b8ee2454b2d01243822c3cd243caaf61b2e2d29443fb4299d34e925420afc4f"),
+    ("d65f0c1f4ebfafc3368db20340c2015383da6ab91884f6cd0fdec26f9ea76a50",
+     "97aea73c179ecc95b2fe15708b2ffd34ce3b70775e8393670c4191ed59e98362"),
+    ("6c128f414cb925222e09488919d71d9809191e805521eed50409ab46429fa223",
+     "e47de6e5fe83a70fc19a7cb65d4901c26660f92ea0e100fc984b222c4705a8a3"),
+]
+
+
+class TestBarFileGoldenDigests:
+    """Digests of the files ``nakamura --out-dir`` writes, recorded while
+    the rule writer still encoded the whole indented document with
+    ``json.dumps(doc, indent=2)``."""
+
+    @pytest.mark.parametrize("index", range(len(BAR_FILE_DIGESTS)))
+    def test_files(self, run_cli, tmp_path, index):
+        C, G = bar_table_inputs()[index]
+        dump_rule(C, tmp_path / "rule.json")
+        dump_rule(G, tmp_path / "inverse.json")
+        out_dir = tmp_path / "bar"
+        result = run_cli("nakamura", "--rule", str(tmp_path / "rule.json"),
+                         "--inverse", str(tmp_path / "inverse.json"), "--out-dir", str(out_dir))
+        assert result.exit_code == 0
+        digests = tuple(
+            hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("bar-forward.json", "bar-backward.json")
+        )
+        assert digests == BAR_FILE_DIGESTS[index]
 
 
 class TestEmbed:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acainvert import WindowConfig, eca_from_wolfram
+from acainvert import Alphabet, LocalRule, Neighborhood, WindowConfig, eca_from_wolfram
 from acainvert.errors import RuleFormatError
 from acainvert.rulefmt import (
     dump_rule,
@@ -94,6 +95,47 @@ def test_file_round_trip(tmp_path):
     assert load_rule(path) == rule
     doc = json.loads(path.read_text())
     assert doc["note"] == "kept"
+
+
+def _random_extra(rng: random.Random) -> dict:
+    """Extra fields like the bar pair's encoding document: strings,
+    numbers, lists and a nested object."""
+    q = rng.randint(1, 9)
+    return {
+        "encoding": {
+            "base_alphabet": q,
+            "bar_state": "code = curr * 3q + old * 3 + time",
+            "fields": {"curr": f"0..{q - 1}", "old": f"0..{q - 1}", "time": "0..2"},
+        },
+        "note": rng.choice(["", "kept", "ünïcode", 'quote " and \\ backslash']),
+        "sizes": [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))],
+        "ratio": rng.choice([0.5, 1e-7, None, True]),
+    }
+
+
+def test_dump_rule_writes_indented_json_bytes(tmp_path):
+    """The file is exactly ``json.dumps(doc, indent=2)`` and a newline:
+    q from 1 to 4 (q = 1 and the empty neighborhood give one-entry
+    tables), 0 to 3 offsets, a 2-D neighborhood, with and without extra
+    fields."""
+    rng = random.Random(20261018)
+    neighborhoods = [Neighborhood.line(*sorted(rng.sample(range(-3, 4), n))) for n in (0, 1, 2, 3)]
+    neighborhoods.append(Neighborhood(2, ((0, 0), (0, 1), (1, 0))))
+    path = tmp_path / "rule.json"
+    for q in (1, 2, 3, 4):
+        for neighborhood in neighborhoods:
+            table = tuple(rng.randrange(q) for _ in range(q ** len(neighborhood)))
+            rule = LocalRule(Alphabet(q), neighborhood, table)
+            for extra in (None, {}, _random_extra(rng)):
+                dump_rule(rule, path, extra=extra)
+                doc = rule_to_dict(rule)
+                doc.update(extra or {})
+                assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode(), (rule, extra)
+
+
+def test_dump_rule_refuses_extra_that_replaces_a_rule_field(tmp_path):
+    with pytest.raises(ValueError):
+        dump_rule(eca_from_wolfram(110), tmp_path / "rule.json", extra={"table": [0]})
 
 
 def test_load_wolfram_file(tmp_path):
