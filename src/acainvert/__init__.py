@@ -34,7 +34,6 @@ from .errors import (
     RuleFormatError,
 )
 from .invertibility import (
-    DEFAULT_CANDIDATE_CAP,
     DEFAULT_WINDOW_CAP,
     DecisionReport,
     DerivationConflict,

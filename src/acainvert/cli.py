@@ -80,7 +80,7 @@ def _verdict_exit(verdict: Verdict) -> int:
 def _cmd_decide(args: argparse.Namespace) -> int:
     rule = _load_source(args)
     decider = decide_purely if args.scheme == "purely" else decide_fully_1d
-    report = decider(rule, window_cap=args.cap, exhaustive=args.exhaustive)
+    report = decider(rule, window_cap=args.cap)
     _print_json(report.to_dict())
     return _verdict_exit(report.verdict)
 
@@ -166,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide invertibility of one rule")
     _add_rule_source(p)
     p.add_argument("--scheme", choices=("purely", "fully"), required=True)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="on candidate failure, try every table over the minimized neighborhood")
     _add_cap_flag(p)
     p.set_defaults(fn=_cmd_decide)
 

@@ -77,11 +77,9 @@ __all__ = [
     "decide_fully_1d",
     "two_predecessor_witness",
     "DEFAULT_WINDOW_CAP",
-    "DEFAULT_CANDIDATE_CAP",
 ]
 
 DEFAULT_WINDOW_CAP = 1 << 24
-DEFAULT_CANDIDATE_CAP = 1 << 16
 
 # windows are manipulated as int64 vectors; anything larger must be capped
 _INDEX_LIMIT = 1 << 62
@@ -515,12 +513,21 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
     """The unique same-neighborhood inverse candidate, or the conflict
     proving none exists.
 
-    Every local configuration the rule actually flips pins the candidate's
-    value at the flipped configuration; entries never pinned default to the
-    center value (or to state 0 when the center is not observed).  The
-    constraints are necessary for any same-neighborhood inverse under
-    either scheme, so a conflict is a definitive negative answer for rules
-    with minimal neighborhoods.
+    When the neighborhood N contains 0, every local configuration the rule
+    flips pins the candidate's value at the flipped configuration: an
+    inverse must undo a flip at 0 (the purely clause for the active set
+    {0}, and ``eq1-backward`` under the fully scheme).  Every other entry
+    keeps its center value: were an inverse to change cell 0 of such an x'
+    to v, the rule would have to change v back to x'(0), which makes x' a
+    flip image, and flip images are pinned.  So no other table over N can
+    be an inverse, and for a rule with a minimal neighborhood a conflict is
+    a definitive negative answer.
+
+    When N lacks 0, no entry reads cell 0, so each configuration has q - 1
+    predecessors through it, one per other state of cell 0.  At q <= 2
+    every entry is pinned to that one other state, q - 1 - out.  At q >= 3
+    two predecessors of the least configuration pin its entry to the two
+    least states other than its output, and that conflict is returned.
     """
     q = rule.q
     offsets = rule.neighborhood.offsets
@@ -548,24 +555,12 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
         table = tuple(
             pinned[i][0] if i in pinned else (i // weight) % q for i in range(len(rule.table))
         )
+    elif q <= 2:
+        table = tuple(q - 1 - out for out in rule.table)
     else:
-        for idx, out in enumerate(rule.table):
-            source = rule.decode_index(idx)
-            for value in range(q):
-                if value == out:
-                    continue
-                prev = pinned.get(idx)
-                if prev is not None and prev[0] != value:
-                    return DerivationConflict(
-                        observed=source,
-                        first_source=prev[1],
-                        first_value=prev[0],
-                        second_source=source,
-                        second_value=value,
-                    )
-                if prev is None:
-                    pinned[idx] = (value, source)
-        table = tuple(pinned[i][0] if i in pinned else 0 for i in range(len(rule.table)))
+        source = rule.decode_index(0)
+        first, second = [v for v in range(3) if v != rule.table[0]][:2]
+        return DerivationConflict(source, source, first, source, second)
     return LocalRule(rule.alphabet, rule.neighborhood, table)
 
 
@@ -576,24 +571,12 @@ def _conflict_report(rule: LocalRule, conflict: DerivationConflict, t0: float) -
     return DecisionReport(Verdict.NOT_INVERTIBLE, None, witness, EnumerationStats(0, millis))
 
 
-def _cap_report(windows: int, t0: float) -> DecisionReport:
+def _cap_report(t0: float) -> DecisionReport:
     millis = (time.perf_counter() - t0) * 1000.0
-    return DecisionReport(Verdict.RESOURCE_CAP_EXCEEDED, None, None, EnumerationStats(windows, millis))
+    return DecisionReport(Verdict.RESOURCE_CAP_EXCEEDED, None, None, EnumerationStats(0, millis))
 
 
-def _candidate_tables(q: int, arity: int):
-    """All tables over the alphabet in lexicographic order."""
-    return itertools.product(range(q), repeat=q**arity)
-
-
-def _decide(
-    rule: LocalRule,
-    checker: Callable,
-    *,
-    window_cap: int,
-    candidate_cap: int,
-    exhaustive: bool,
-) -> DecisionReport:
+def _decide(rule: LocalRule, checker: Callable, *, window_cap: int) -> DecisionReport:
     t0 = time.perf_counter()
     if rule.q == 1:
         # one-state alphabets admit exactly one rule, which inverts itself
@@ -603,76 +586,32 @@ def _decide(
     candidate = derive_candidate_inverse(mini)
     if isinstance(candidate, DerivationConflict):
         return _conflict_report(mini, candidate, t0)
-    windows = 0
     try:
-        first = checker(mini, candidate, cap=window_cap)
+        checked = checker(mini, candidate, cap=window_cap)
     except ResourceCapExceededError:
-        return _cap_report(windows, t0)
-    windows += first.stats.windows
-    if first.verdict is Verdict.INVERTIBLE:
-        millis = (time.perf_counter() - t0) * 1000.0
+        return _cap_report(t0)
+    inverse = None
+    if checked.verdict is Verdict.INVERTIBLE:
         inverse = with_neighborhood(candidate, rule.neighborhood)
-        return DecisionReport(Verdict.INVERTIBLE, inverse, None, EnumerationStats(windows, millis))
-    if exhaustive:
-        total = rule.q ** (rule.q ** mini.arity)
-        if total > candidate_cap:
-            return _cap_report(windows, t0)
-        for table in _candidate_tables(rule.q, mini.arity):
-            if table == candidate.table:
-                continue
-            other = LocalRule(rule.alphabet, mini.neighborhood, table)
-            rep = checker(mini, other, cap=window_cap)
-            windows += rep.stats.windows
-            if rep.verdict is Verdict.INVERTIBLE:
-                millis = (time.perf_counter() - t0) * 1000.0
-                inverse = with_neighborhood(other, rule.neighborhood)
-                return DecisionReport(
-                    Verdict.INVERTIBLE, inverse, None, EnumerationStats(windows, millis)
-                )
-    millis = (time.perf_counter() - t0) * 1000.0
-    return DecisionReport(Verdict.NOT_INVERTIBLE, None, first.witness, EnumerationStats(windows, millis))
+    stats = EnumerationStats(checked.stats.windows, (time.perf_counter() - t0) * 1000.0)
+    return DecisionReport(checked.verdict, inverse, checked.witness, stats)
 
 
-def decide_purely(
-    rule: LocalRule,
-    *,
-    window_cap: int = DEFAULT_WINDOW_CAP,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    exhaustive: bool = False,
-) -> DecisionReport:
+def decide_purely(rule: LocalRule, *, window_cap: int = DEFAULT_WINDOW_CAP) -> DecisionReport:
     """Decide purely asynchronous invertibility of a single rule.
 
     The neighborhood is minimized, the single candidate inverse derived and
-    checked; with ``exhaustive`` every table over the minimized
-    neighborhood is tried before a negative verdict.  A returned inverse is
-    re-expressed over the rule's original neighborhood.
+    checked.  A returned inverse is re-expressed over the rule's original
+    neighborhood.
     """
-    return _decide(
-        rule,
-        check_inverse_purely,
-        window_cap=window_cap,
-        candidate_cap=candidate_cap,
-        exhaustive=exhaustive,
-    )
+    return _decide(rule, check_inverse_purely, window_cap=window_cap)
 
 
-def decide_fully_1d(
-    rule: LocalRule,
-    *,
-    window_cap: int = DEFAULT_WINDOW_CAP,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    exhaustive: bool = False,
-) -> DecisionReport:
+def decide_fully_1d(rule: LocalRule, *, window_cap: int = DEFAULT_WINDOW_CAP) -> DecisionReport:
     """Decide fully asynchronous invertibility of a one-dimensional rule."""
     if rule.neighborhood.dimension != 1:
         raise NotOneDimensionalError("fully asynchronous decision requires one dimension")
-    return _decide(
-        rule,
-        check_inverse_fully_1d,
-        window_cap=window_cap,
-        candidate_cap=candidate_cap,
-        exhaustive=exhaustive,
-    )
+    return _decide(rule, check_inverse_fully_1d, window_cap=window_cap)
 
 
 @dataclass(frozen=True)

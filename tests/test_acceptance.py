@@ -106,12 +106,9 @@ def test_criterion_3_bar_pair_instances(capsys):
 
 def test_criterion_4_oracle_equivalence(capsys):
     with criterion(capsys, 4, "deciders match the naive enumeration oracles with zero mismatches"):
-        cases = (
-            ((0,), list(all_tables(2, 1))),
-            ((0, 1), list(all_tables(2, 2))),
-        )
-        for offsets, tables in cases:
+        for offsets in ((0,), (0, 1)):
             nb = Neighborhood.line(*offsets)
+            tables = list(all_tables(2, len(offsets)))
             # checker level: every ordered pair of rules, both schemes
             for dt, gt in itertools.product(tables, repeat=2):
                 C = LocalRule(Alphabet(2), nb, dt)
@@ -120,19 +117,23 @@ def test_criterion_4_oracle_equivalence(capsys):
                 assert got == naive_check_purely(offsets, 2, dt, gt), ("purely", dt, gt)
                 got = check_inverse_fully_1d(C, G).verdict is Verdict.INVERTIBLE
                 assert got == naive_check_fully(offsets, 2, dt, gt), ("fully", dt, gt)
-            # decider level: every rule, exhaustive search vs. naive existential
-            for dt in tables:
-                rule = LocalRule(Alphabet(2), nb, dt)
-                got = decide_purely(rule, exhaustive=True).verdict
+        # decider level: every rule, the one derived candidate vs. a naive
+        # existential search over every table
+        cases = (((0,), 2), ((0, 1), 2), ((), 2), ((1,), 2), ((-1,), 2), ((), 3), ((0,), 3))
+        for offsets, q in cases:
+            nb = Neighborhood.line(*offsets)
+            for dt in all_tables(q, len(offsets)):
+                rule = LocalRule(Alphabet(q), nb, dt)
+                got = decide_purely(rule).verdict
                 assert got is not Verdict.RESOURCE_CAP_EXCEEDED
                 assert (got is Verdict.INVERTIBLE) == naive_decide(
-                    naive_check_purely, offsets, 2, dt
-                ), ("purely", dt)
-                got = decide_fully_1d(rule, exhaustive=True).verdict
+                    naive_check_purely, offsets, q, dt
+                ), ("purely", offsets, q, dt)
+                got = decide_fully_1d(rule).verdict
                 assert got is not Verdict.RESOURCE_CAP_EXCEEDED
                 assert (got is Verdict.INVERTIBLE) == naive_decide(
-                    naive_check_fully, offsets, 2, dt
-                ), ("fully", dt)
+                    naive_check_fully, offsets, q, dt
+                ), ("fully", offsets, q, dt)
 
 
 def test_criterion_5_invariant_suite(purely_atlas, fully_atlas, capsys):

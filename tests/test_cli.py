@@ -96,15 +96,17 @@ class TestDecide:
         assert str(path) in capsys.readouterr().err
 
     def test_threads_flag_is_a_usage_error(self, run_cli, tmp_path):
-        # the checks run on one thread; only classify-eca sizes a pool
+        # the checks run on one thread; only classify-eca sizes a pool.
+        # decide has no --exhaustive: the derived candidate is the only inverse
         rule = write_wolfram(tmp_path, "f.json", 170)
         inverse = write_wolfram(tmp_path, "g.json", 240)
         for argv in (
-            ("decide", "--wolfram", "110", "--scheme", "fully"),
+            ("decide", "--wolfram", "110", "--scheme", "fully", "--threads", "2"),
             ("nakamura", "--rule", rule, "--inverse", inverse,
-             "--out-dir", str(tmp_path / "bar"), "--verify"),
+             "--out-dir", str(tmp_path / "bar"), "--verify", "--threads", "2"),
+            ("decide", "--wolfram", "110", "--scheme", "purely", "--exhaustive"),
         ):
-            result = run_cli(*argv, "--threads", "2")
+            result = run_cli(*argv)
             assert result.exit_code == 2, argv[0]
             assert result.stdout == ""
         assert not (tmp_path / "bar").exists()
