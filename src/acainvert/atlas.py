@@ -9,8 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,9 +44,6 @@ FULLY_INVERTIBLE_ECA = frozenset(
 )
 
 SCHEMES = ("purely", "fully")
-
-# rules sent to a worker process at a time
-_RULES_PER_TASK = 8
 
 
 @dataclass(frozen=True)
@@ -125,31 +120,15 @@ def _entry_from_report(rule: int, report: DecisionReport) -> AtlasEntry:
     )
 
 
-def _classify_one(scheme: str, rule: int, cap: int) -> AtlasEntry:
-    decider = decide_purely if scheme == "purely" else decide_fully_1d
-    report = decider(eca_from_wolfram(rule), window_cap=cap)
-    return _entry_from_report(rule, report)
-
-
-def classify_all_eca(scheme: str, *, cap: int = DEFAULT_WINDOW_CAP, workers: int = 1) -> AtlasReport:
-    """Decide every Wolfram rule 0..255 under the given scheme.
-
-    Rules are distributed over worker processes and reassembled in rule
-    order, so the report does not depend on the worker count.  The pool
-    starts at most one process per chunk of rules, since the rest would
-    have no work.
-    """
+def classify_all_eca(scheme: str, *, cap: int = DEFAULT_WINDOW_CAP) -> AtlasReport:
+    """Decide every Wolfram rule 0..255 under the given scheme, in rule order."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    rules = range(256)
-    if workers <= 1:
-        entries = [_classify_one(scheme, n, cap) for n in rules]
-    else:
-        chunks = math.ceil(len(rules) / _RULES_PER_TASK)
-        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
-            entries = list(pool.map(_classify_one, [scheme] * 256, rules, [cap] * 256,
-                                    chunksize=_RULES_PER_TASK))
-    return AtlasReport(scheme=scheme, entries=tuple(entries))
+    decider = decide_purely if scheme == "purely" else decide_fully_1d
+    entries = tuple(
+        _entry_from_report(n, decider(eca_from_wolfram(n), window_cap=cap)) for n in range(256)
+    )
+    return AtlasReport(scheme=scheme, entries=entries)
 
 
 def diff_against_reference(report: AtlasReport) -> tuple[tuple[int, ...], tuple[int, ...]]:

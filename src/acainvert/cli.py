@@ -3,15 +3,13 @@
 Exit codes: 0 for a positive verdict (or plain success), 3 for a negative
 verdict (not invertible / reference diff non-empty), 2 for usage, format,
 or resource-cap errors.  All emitted JSON zeroes wall-clock fields, so
-identical invocations produce byte-identical output; ``classify-eca``
-output does not depend on its ``--threads`` value either.
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -47,18 +45,6 @@ def _add_cap_flag(parser: argparse.ArgumentParser) -> None:
                         help="cap on the number of test windows q^|T| (default %(default)s)")
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        text = os.environ.get("ACA_THREADS", "1")
-        try:
-            value = int(text)
-        except ValueError:
-            raise CaError(f"ACA_THREADS must be an integer, got {text!r}") from None
-    if value < 1:
-        raise CaError("thread count must be at least 1")
-    return value
-
-
 def _load_source(args: argparse.Namespace) -> LocalRule:
     if args.rule is not None:
         return load_rule(args.rule)
@@ -86,7 +72,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify_eca(args: argparse.Namespace) -> int:
-    report = classify_all_eca(args.scheme, cap=args.cap, workers=_resolve_threads(args.threads))
+    report = classify_all_eca(args.scheme, cap=args.cap)
     if args.out:
         Path(args.out).write_text(report.to_json())
     if args.csv:
@@ -176,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diff", action="store_true",
                    help="print the diff against the built-in reference list; exit 3 when non-empty")
     _add_cap_flag(p)
-    p.add_argument("--threads", type=int, default=None, metavar="T",
-                   help="worker processes (default: ACA_THREADS or 1)")
     p.set_defaults(fn=_cmd_classify_eca)
 
     p = sub.add_parser("nakamura", help="build the purely asynchronous bar pair from a synchronous inverse pair")

@@ -3,9 +3,8 @@
 Cells are d-tuples of integers and states are dense integers ``0..q-1``.
 A rule table is stored flat in mixed-radix order: the local configuration
 ``(s_1, ..., s_k)`` read along the canonically sorted offsets maps to index
-``sum_j s_j * q**(k-1-j)``.  For binary radius-1 rules in one dimension this
-makes the table index coincide with the Wolfram bit index, so
-``table[i] = (number >> i) & 1``.
+``sum_j s_j * q**(k-1-j)``.  An elementary rule's entry ``i`` is bit ``7 - i``
+of its Wolfram number, so ``table[i] = (number >> (7 - i)) & 1``.
 """
 
 from __future__ import annotations
@@ -115,10 +114,6 @@ class Neighborhood:
     @property
     def contains_origin(self) -> bool:
         return self.origin in self.offsets
-
-    def shifted(self, cell: Cell) -> tuple[Cell, ...]:
-        """The absolute cells ``cell + n`` for each offset ``n``."""
-        return tuple(add_cells(cell, n) for n in self.offsets)
 
     def pairwise_sums(self) -> frozenset[Cell]:
         return frozenset(add_cells(m, n) for m in self.offsets for n in self.offsets)

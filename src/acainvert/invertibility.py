@@ -81,7 +81,7 @@ __all__ = [
 
 DEFAULT_WINDOW_CAP = 1 << 24
 
-# windows are manipulated as int64 vectors; anything larger must be capped
+# the purely sweep's cut computes window indices in int64 (rows @ weights)
 _INDEX_LIMIT = 1 << 62
 
 
@@ -459,7 +459,7 @@ def check_inverse_fully_1d(
     if C.neighborhood.dimension != 1:
         raise NotOneDimensionalError("fully asynchronous check requires one dimension")
     _require_pair(C, G)
-    tw = FullyTestWindow.build(C.q, C.neighborhood, cap=min(cap, _INDEX_LIMIT))
+    tw = FullyTestWindow.build(C.q, C.neighborhood, cap=cap)
     q = C.q
     k = len(tw.cells) - len(tw.candidates) + 1  # span of N ∪ {0}
     left = tw.cells[0][0] - tw.candidates[0]  # min(N ∪ {0})
@@ -541,16 +541,15 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
                 continue
             flipped = idx + (out - center) * weight
             prev = pinned.get(flipped)
+            # two sources of one image differ only at the center, so a repeat conflicts
             if prev is not None:
-                if prev[0] != center:
-                    return DerivationConflict(
-                        observed=rule.decode_index(flipped),
-                        first_source=prev[1],
-                        first_value=prev[0],
-                        second_source=rule.decode_index(idx),
-                        second_value=center,
-                    )
-                continue
+                return DerivationConflict(
+                    observed=rule.decode_index(flipped),
+                    first_source=prev[1],
+                    first_value=prev[0],
+                    second_source=rule.decode_index(idx),
+                    second_value=center,
+                )
             pinned[flipped] = (center, rule.decode_index(idx))
         table = tuple(
             pinned[i][0] if i in pinned else (i // weight) % q for i in range(len(rule.table))

@@ -11,17 +11,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from acainvert import Neighborhood, cli, eca_from_wolfram, with_neighborhood
+from acainvert import Neighborhood, cli
 from acainvert.atlas import classify_all_eca
-from acainvert.invertibility import decide_fully_1d
 
 PADDED_NEIGHBORHOOD = Neighborhood.line(-2, -1, 0, 1, 3)
-
-
-def padded_fully_verdict(n: int) -> str:
-    """Fully asynchronous verdict after widening with dummy offsets."""
-    padded = with_neighborhood(eca_from_wolfram(n), PADDED_NEIGHBORHOOD)
-    return decide_fully_1d(padded).verdict.value
 
 
 def sha256_of(docs) -> str:
@@ -57,4 +50,4 @@ def purely_atlas():
 
 @pytest.fixture(scope="session")
 def fully_atlas():
-    return classify_all_eca("fully", workers=4)
+    return classify_all_eca("fully")

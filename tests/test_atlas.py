@@ -8,7 +8,6 @@ import json
 
 import pytest
 
-from acainvert import atlas
 from acainvert.atlas import (
     FULLY_INVERTIBLE_ECA,
     AtlasEntry,
@@ -150,32 +149,3 @@ class TestClassify:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             classify_all_eca("sync")
-
-    def test_worker_count_does_not_change_report(self, purely_atlas):
-        parallel = classify_all_eca("purely", workers=4)
-        assert parallel.to_dict() == purely_atlas.to_dict()
-
-    def test_pool_is_capped_at_one_process_per_chunk(self, purely_atlas, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Records the pool size it is asked for and maps in-process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(atlas, "ProcessPoolExecutor", SerialPool)
-        # a pool this large is never started: the fake only records its size
-        for workers in (3, 32, 33, 100_000):
-            report = classify_all_eca("purely", workers=workers)
-            assert report.to_dict() == purely_atlas.to_dict()
-        assert sizes == [3, 32, 32, 32]

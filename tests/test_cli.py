@@ -96,7 +96,7 @@ class TestDecide:
         assert str(path) in capsys.readouterr().err
 
     def test_threads_flag_is_a_usage_error(self, run_cli, tmp_path):
-        # the checks run on one thread; only classify-eca sizes a pool.
+        # every command runs in one process on one thread.
         # decide has no --exhaustive: the derived candidate is the only inverse
         rule = write_wolfram(tmp_path, "f.json", 170)
         inverse = write_wolfram(tmp_path, "g.json", 240)
@@ -105,27 +105,12 @@ class TestDecide:
             ("nakamura", "--rule", rule, "--inverse", inverse,
              "--out-dir", str(tmp_path / "bar"), "--verify", "--threads", "2"),
             ("decide", "--wolfram", "110", "--scheme", "purely", "--exhaustive"),
+            ("classify-eca", "--scheme", "purely", "--diff", "--threads", "2"),
         ):
             result = run_cli(*argv)
             assert result.exit_code == 2, argv[0]
             assert result.stdout == ""
         assert not (tmp_path / "bar").exists()
-
-    def test_threads_env_default(self, run_cli, monkeypatch):
-        monkeypatch.setenv("ACA_THREADS", "2")
-        result = run_cli("classify-eca", "--scheme", "purely", "--diff")
-        assert result.exit_code == 0
-
-    def test_bad_thread_count_exits_two(self, run_cli):
-        result = run_cli("classify-eca", "--scheme", "purely", "--diff", "--threads", "0")
-        assert result.exit_code == 2
-
-    def test_non_integer_threads_env_exits_two(self, run_cli, monkeypatch, capsys):
-        monkeypatch.setenv("ACA_THREADS", "abc")
-        result = run_cli("classify-eca", "--scheme", "purely", "--diff")
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert "ACA_THREADS" in capsys.readouterr().err
 
 
 class TestClassifyEca:

@@ -55,6 +55,11 @@ def rule_of(table, *offsets, q=2):
     return LocalRule(Alphabet(q), Neighborhood.line(*offsets), tuple(table))
 
 
+# a binary radius-2 rule whose fully test window has 69 cells
+RADIUS_TWO_TABLE = (1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 1,
+                    1, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0)
+
+
 def replay_witness(C, G, report, candidates=None):
     """Re-enact the reported violation with the plain step operator."""
     w = report.witness.window
@@ -209,6 +214,18 @@ class TestCheckInverseFully:
         square = LocalRule(Alphabet(2), Neighborhood(2, ((0, 0),)), (0, 1))
         with pytest.raises(NotOneDimensionalError):
             check_inverse_fully_1d(square, square)
+
+    def test_cap_above_int64_decides_radius_two_rule(self):
+        # 2^69 windows: the sweep uses Python ints, so only the cap limits it
+        C = rule_of(RADIUS_TWO_TABLE, -2, -1, 0, 1, 2)
+        G = derive_candidate_inverse(C)
+        rep = check_inverse_fully_1d(C, G, cap=1 << 80)
+        assert rep.verdict is Verdict.NOT_INVERTIBLE
+        assert rep.witness.clause == "eq2-gamma"
+        assert len(rep.witness.window.cells) == 69
+        replay_witness(C, G, rep, candidates=[(a,) for a in range(-32, 33)])
+        assert decide_fully_1d(C, window_cap=1 << 80).witness.clause == "eq2-gamma"
+        assert decide_fully_1d(C).verdict is Verdict.RESOURCE_CAP_EXCEEDED
 
     def test_matches_naive_oracle_on_eca_pairs(self):
         pairs = [(33, 123), (51, 51), (204, 204), (0, 255), (110, 110), (150, 150)]
