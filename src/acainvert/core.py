@@ -361,16 +361,21 @@ def minimize_neighborhood(rule: LocalRule) -> LocalRule:
 
 
 def with_neighborhood(rule: LocalRule, neighborhood: Neighborhood) -> LocalRule:
-    """Re-express the rule over a superset neighborhood; new offsets are dummy."""
+    """Re-express the rule over a superset neighborhood; new offsets are dummy.
+
+    Entry i of the result reads digit j of i, first digit most significant,
+    at the target's j-th offset.  The rule itself is returned when the
+    target is its own neighborhood.
+    """
+    if neighborhood == rule.neighborhood:
+        return rule
     if neighborhood.dimension != rule.neighborhood.dimension:
         raise ValueError("dimensions differ")
-    positions = []
-    for n in rule.neighborhood.offsets:
+    q, k = rule.q, len(neighborhood)
+    weights = np.zeros(k, dtype=np.int64)
+    for j, n in enumerate(rule.neighborhood.offsets):
         if n not in neighborhood:
             raise ValueError(f"offset {n} missing from target neighborhood")
-        positions.append(neighborhood.offsets.index(n))
-    q = rule.q
-    table = []
-    for local in itertools.product(range(q), repeat=len(neighborhood)):
-        table.append(rule.apply_local([local[p] for p in positions]))
-    return LocalRule(rule.alphabet, neighborhood, tuple(table))
+        weights[neighborhood.offsets.index(n)] = q ** (rule.arity - 1 - j)
+    digits = np.arange(q**k)[:, None] // q ** np.arange(k - 1, -1, -1) % q
+    return LocalRule(rule.alphabet, neighborhood, tuple(rule.table_array[digits @ weights].tolist()))

@@ -6,16 +6,19 @@ mixed-radix integers with the lexicographically first cell as the most
 significant digit, so integer order equals lexicographic window order and
 the least violation is well defined.
 
-Neither check enumerates Q^T.  The purely clause for an activation set D
-reads only the cells S = D ∪ (D+N), so its least violating window is the
-least violating assignment to S with zeros elsewhere; the check sweeps
-each D on its own, growing assignments to S cell by cell in bounded
-blocks of numpy rows.  A cell c of D is decided once its last read
-c + max(N ∪ {0}) is assigned; that cell then grows each partial
-assignment only by the states that make c change, listed per assignment
-of c's other reads in a flip table built from the rule's table.  The
-fully check (d = 1) reads blocks of k = span(N ∪ {0}) consecutive cells,
-so it sweeps the de Bruijn graph of width k in O(|T|·q^k) steps (Sutner,
+Neither check enumerates Q^T.  Each reads both rules widened by
+``core.with_neighborhood`` to the cells a test reads, so a local
+configuration's table index is its own mixed-radix value.  The purely
+clause for an activation set D reads only the cells S = D ∪ (D+N), so its
+least violating window is the least violating assignment to S with zeros
+elsewhere; the check sweeps each D on its own, growing assignments to S
+cell by cell in bounded blocks of numpy rows.  A cell c of D is decided
+once its last read c + max(N ∪ {0}) is assigned; that cell then grows
+each partial assignment only by the states that make c change, listed
+per assignment of c's other reads in a flip table built from the rule's
+table widened to N ∪ {0}.  The fully check (d = 1) reads blocks of
+k = span(N ∪ {0}) consecutive cells, the rules widened to that block, so
+it sweeps the de Bruijn graph of width k in O(|T|·q^k) steps (Sutner,
 Complex Systems 5, 1991).
 Both find the least violation enumeration would find, report the logical
 count q^|T| in ``stats.windows``, and run on one thread.
@@ -205,6 +208,14 @@ class FullyTestWindow:
         return cls(max_distance=m, candidates=candidates, cells=cells)
 
 
+def _report(
+    t0: float, windows: int, verdict: Verdict, inverse: LocalRule | None = None, witness: Witness | None = None
+) -> DecisionReport:
+    """The report of a decision begun at ``t0``, timed up to now."""
+    millis = (time.perf_counter() - t0) * 1000.0
+    return DecisionReport(verdict, inverse, witness, EnumerationStats(windows, millis))
+
+
 def _require_pair(C: LocalRule, G: LocalRule) -> None:
     if C.alphabet != G.alphabet:
         raise AlphabetMismatchError("rules must share an alphabet")
@@ -220,14 +231,15 @@ _SWEEP_BLOCK = 1 << 14
 class _SetPlan:
     """How the purely sweep for one activation set D reads its rows.
 
-    A row holds the states of the cells S = D + M, M = N ∪ {0}, in window
-    order, then the stepped state of each cell of D.  ``positions`` are
-    the window positions of S and ``weights`` their window index weights.
+    Both rules are read widened to M = N ∪ {0}.  A row holds the states of
+    the cells S = D + M in window order, then the stepped state of each
+    cell of D.  ``positions`` are the window positions of S and
+    ``weights`` their window index weights.
     A cell c of D can be tested once its last read c + max(M) is assigned,
     and distinct cells have distinct last reads, so column i completes at
     most one test: ``tests[i]`` is None or (columns of the test's other
-    reads along M, stepped column).  ``undo`` lists (column, neighbor
-    columns after the step) for every cell of D.
+    reads along M, stepped column).  ``undo`` lists (column, columns of
+    its reads along M after the step) for every cell of D.
     """
 
     positions: tuple[int, ...]
@@ -236,11 +248,9 @@ class _SetPlan:
     undo: tuple[tuple[int, list[int]], ...]
 
     @classmethod
-    def build(
-        cls, active: list[int], sums: list[list[int]], own: list[int], zero: int, weights: np.ndarray
-    ) -> "_SetPlan":
-        """``active`` and ``own`` index D and N into M, ``zero`` indexes 0,
-        and ``sums[i][j]`` is the window position of M[i] + M[j]."""
+    def build(cls, active: list[int], sums: list[list[int]], zero: int, weights: np.ndarray) -> "_SetPlan":
+        """``active`` indexes D into M, ``zero`` indexes 0, and
+        ``sums[i][j]`` is the window position of M[i] + M[j]."""
         positions = sorted({x for i in active for x in sums[i]})
         column = {x: col for col, x in enumerate(positions)}
         stepped = dict(column)
@@ -253,24 +263,21 @@ class _SetPlan:
             positions=tuple(positions),
             weights=weights[positions],
             tests=tuple(tests),
-            undo=tuple((column[sums[i][zero]], [stepped[sums[i][j]] for j in own]) for i in active),
+            undo=tuple((column[sums[i][zero]], [stepped[x] for x in sums[i]]) for i in active),
         )
 
 
-def _flip_table(tab: np.ndarray, q: int, k: int, zero: int, padded: bool):
+def _flip_table(tab: np.ndarray, q: int, k: int, zero: int):
     """The local configurations over M = N ∪ {0}, read in order, whose
-    update by the rule table ``tab`` changes the center.
+    update by the rule table ``tab``, widened to M, changes the center.
 
     Row p of the (q^(k-1), q) table, k = |M|, holds the configurations
     whose first k - 1 reads have index p; it is stored compressed as the
     ``counts[p]`` entries that end at ``ends[p]``, each a last read
     (``digits``, ascending) with its new center state (``states``).
-    When N lacks 0 (``padded``), M reads 0 as a dummy the table skips.
     """
     # axis 1 is the read of 0
-    out = tab.reshape(-1, 1 if padded else q, q ** (k - 1 - zero))
-    if padded:
-        out = out.repeat(q, axis=1)
+    out = tab.reshape(-1, q, q ** (k - 1 - zero))
     change = out != np.arange(q)[:, None]
     counts = change.reshape(-1, q).sum(axis=1)
     return counts, counts.cumsum(), change.ravel().nonzero()[0] % q, out[change]
@@ -368,27 +375,21 @@ def check_inverse_purely(
     q = C.q
     windows = q ** len(tw.cells)
     if windows > min(cap, _INDEX_LIMIT):
-        raise ResourceCapExceededError(
-            f"purely test window needs {windows} window assignments, cap is {cap}"
-        )
-    neighborhood = C.neighborhood
-    reach = sorted({neighborhood.origin, *neighborhood.offsets})  # M = N ∪ {0}
+        bound = f"cap is {cap}" if cap <= _INDEX_LIMIT else f"the int64 index limit is {_INDEX_LIMIT}"
+        raise ResourceCapExceededError(f"purely test window needs {windows} window assignments, {bound}")
+    origin = C.neighborhood.origin
+    reach = Neighborhood(C.neighborhood.dimension, tuple({origin, *C.neighborhood.offsets}))  # M = N ∪ {0}
     index = {cell: i for i, cell in enumerate(reach)}
     position = {cell: x for x, cell in enumerate(tw.cells)}
     sums = [[position[add_cells(a, b)] for b in reach] for a in reach]
-    own = [index[n] for n in neighborhood.offsets]
-    zero = index[neighborhood.origin]
-    k = len(reach)
+    zero = index[origin]
     weights = q ** np.arange(len(tw.cells) - 1, -1, -1, dtype=np.int64)
-    plans = [
-        _SetPlan.build([index[c] for c in active], sums, own, zero, weights) for active in tw.active_family
-    ]
-    directions = (
-        (CLAUSE_PURELY_FORWARD, C.table_array, G.table_array),
-        (CLAUSE_PURELY_BACKWARD, G.table_array, C.table_array),
-    )
+    plans = [_SetPlan.build([index[c] for c in active], sums, zero, weights) for active in tw.active_family]
+    tab_c = with_neighborhood(C, reach).table_array
+    tab_g = with_neighborhood(G, reach).table_array
+    directions = ((CLAUSE_PURELY_FORWARD, tab_c, tab_g), (CLAUSE_PURELY_BACKWARD, tab_g, tab_c))
     for clause, tab1, tab2 in directions:
-        flips = _flip_table(tab1, q, k, zero, not neighborhood.contains_origin)
+        flips = _flip_table(tab1, q, len(reach), zero)
         best = None
         for active, plan in zip(tw.active_family, plans):
             row = _purely_sweep(q, plan, flips, tab2, None if best is None else best[0])
@@ -400,10 +401,8 @@ def check_inverse_purely(
             for x, state in zip(plan.positions, row.tolist()):
                 states[x] = state
             witness = Witness(WindowConfig(tw.cells, tuple(states)), active, clause)
-            stats = EnumerationStats(windows, (time.perf_counter() - t0) * 1000.0)
-            return DecisionReport(Verdict.NOT_INVERTIBLE, None, witness, stats)
-    stats = EnumerationStats(windows, (time.perf_counter() - t0) * 1000.0)
-    return DecisionReport(Verdict.INVERTIBLE, G, None, stats)
+            return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
+    return _report(t0, windows, Verdict.INVERTIBLE, G)
 
 
 def _least_path(q: int, k: int, allowed: list[list[bool]]) -> list[int] | None:
@@ -453,6 +452,8 @@ def check_inverse_fully_1d(
     that order, is reported with its least window.  A clause constrains
     the block of k = span(N ∪ {0}) cells around each candidate (eq1 only
     the one around 0), so ``_least_path`` decides it in O(|T|·q^k) steps.
+    Both rules are read widened to the block min(N ∪ {0}) .. max(N ∪ {0}),
+    so a block's table index is its own mixed-radix value.
     ``stats.windows`` counts q^|T| logical windows per clause pair.
     """
     t0 = time.perf_counter()
@@ -464,38 +465,32 @@ def check_inverse_fully_1d(
     k = len(tw.cells) - len(tw.candidates) + 1  # span of N ∪ {0}
     left = tw.cells[0][0] - tw.candidates[0]  # min(N ∪ {0})
     origin = tw.candidates.index(0)  # the block of candidate 0 starts at this cell
-    # block b of candidate a lists the states of cells a+left .. a+left+k-1
-    blocks = list(itertools.product(range(q), repeat=k))
-    local = [C.local_index([blk[n[0] - left] for n in C.neighborhood.offsets]) for blk in blocks]
-    center = [blk[-left] for blk in blocks]
+    block = Neighborhood.line(*range(left, left + k))
+    wide_c, wide_g = with_neighborhood(C, block), with_neighborhood(G, block)
     center_weight = q ** (k - 1 + left)
+    center = [b // center_weight % q for b in range(q**k)]
     windows = q ** len(tw.cells)
 
-    def report(clause: str | None = None, states=None) -> DecisionReport:
-        stats = EnumerationStats(windows, (time.perf_counter() - t0) * 1000.0)
-        if clause is None:
-            return DecisionReport(Verdict.INVERTIBLE, G, None, stats)
-        witness = Witness(WindowConfig(tw.cells, tuple(states)), ((0,),), clause)
-        return DecisionReport(Verdict.NOT_INVERTIBLE, None, witness, stats)
-
-    pairs = ((C.table, G.table), (G.table, C.table))
+    pairs = ((wide_c.table, wide_g.table), (wide_g.table, wide_c.table))
     for clause, (tab1, tab2) in zip((CLAUSE_EQ1_FORWARD, CLAUSE_EQ1_BACKWARD), pairs):
-        for b, (L, c) in enumerate(zip(local, center)):
-            if tab1[L] != c and tab2[local[b + (tab1[L] - c) * center_weight]] != c:
+        for b, c in enumerate(center):
+            if tab1[b] != c and tab2[b + (tab1[b] - c) * center_weight] != c:
                 # only the block around 0 matters; zeros elsewhere give the least window
                 states = [0] * len(tw.cells)
-                states[origin : origin + k] = blocks[b]
-                return report(clause, states)
+                states[origin : origin + k] = wide_c.decode_index(b)
+                witness = Witness(WindowConfig(tw.cells, tuple(states)), ((0,),), clause)
+                return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
 
     windows *= 2
     for clause, (tab1, tab2) in zip((CLAUSE_EQ2_DELTA, CLAUSE_EQ2_GAMMA), pairs):
-        unfixed = [tab2[L] != c for L, c in zip(local, center)]
+        unfixed = [t != c for t, c in zip(tab2, center)]
         allowed = [unfixed] * len(tw.candidates)
-        allowed[origin] = [u and tab1[L] == c for u, L, c in zip(unfixed, local, center)]
+        allowed[origin] = [u and t == c for u, t, c in zip(unfixed, tab1, center)]
         states = _least_path(q, k, allowed)
         if states is not None:
-            return report(clause, states)
-    return report()
+            witness = Witness(WindowConfig(tw.cells, tuple(states)), ((0,),), clause)
+            return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
+    return _report(t0, windows, Verdict.INVERTIBLE, G)
 
 
 @dataclass(frozen=True)
@@ -532,7 +527,7 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
     q = rule.q
     offsets = rule.neighborhood.offsets
     origin = rule.neighborhood.origin
-    pinned: dict[int, tuple[int, tuple[int, ...]]] = {}
+    pinned: dict[int, tuple[int, int]] = {}  # image index: (center, source index)
     if origin in rule.neighborhood:
         weight = q ** (rule.arity - 1 - offsets.index(origin))
         for idx, out in enumerate(rule.table):
@@ -545,12 +540,12 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
             if prev is not None:
                 return DerivationConflict(
                     observed=rule.decode_index(flipped),
-                    first_source=prev[1],
+                    first_source=rule.decode_index(prev[1]),
                     first_value=prev[0],
                     second_source=rule.decode_index(idx),
                     second_value=center,
                 )
-            pinned[flipped] = (center, rule.decode_index(idx))
+            pinned[flipped] = (center, idx)
         table = tuple(
             pinned[i][0] if i in pinned else (i // weight) % q for i in range(len(rule.table))
         )
@@ -563,37 +558,25 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
     return LocalRule(rule.alphabet, rule.neighborhood, table)
 
 
-def _conflict_report(rule: LocalRule, conflict: DerivationConflict, t0: float) -> DecisionReport:
-    window = WindowConfig(rule.neighborhood.offsets, conflict.observed)
-    witness = Witness(window, (rule.neighborhood.origin,), CLAUSE_DERIVATION_CONFLICT)
-    millis = (time.perf_counter() - t0) * 1000.0
-    return DecisionReport(Verdict.NOT_INVERTIBLE, None, witness, EnumerationStats(0, millis))
-
-
-def _cap_report(t0: float) -> DecisionReport:
-    millis = (time.perf_counter() - t0) * 1000.0
-    return DecisionReport(Verdict.RESOURCE_CAP_EXCEEDED, None, None, EnumerationStats(0, millis))
-
-
 def _decide(rule: LocalRule, checker: Callable, *, window_cap: int) -> DecisionReport:
     t0 = time.perf_counter()
     if rule.q == 1:
         # one-state alphabets admit exactly one rule, which inverts itself
-        millis = (time.perf_counter() - t0) * 1000.0
-        return DecisionReport(Verdict.INVERTIBLE, rule, None, EnumerationStats(0, millis))
+        return _report(t0, 0, Verdict.INVERTIBLE, rule)
     mini = minimize_neighborhood(rule)
     candidate = derive_candidate_inverse(mini)
     if isinstance(candidate, DerivationConflict):
-        return _conflict_report(mini, candidate, t0)
+        window = WindowConfig(mini.neighborhood.offsets, candidate.observed)
+        witness = Witness(window, (mini.neighborhood.origin,), CLAUSE_DERIVATION_CONFLICT)
+        return _report(t0, 0, Verdict.NOT_INVERTIBLE, witness=witness)
     try:
         checked = checker(mini, candidate, cap=window_cap)
     except ResourceCapExceededError:
-        return _cap_report(t0)
+        return _report(t0, 0, Verdict.RESOURCE_CAP_EXCEEDED)
     inverse = None
     if checked.verdict is Verdict.INVERTIBLE:
         inverse = with_neighborhood(candidate, rule.neighborhood)
-    stats = EnumerationStats(checked.stats.windows, (time.perf_counter() - t0) * 1000.0)
-    return DecisionReport(checked.verdict, inverse, checked.witness, stats)
+    return _report(t0, checked.stats.windows, checked.verdict, inverse, checked.witness)
 
 
 def decide_purely(rule: LocalRule, *, window_cap: int = DEFAULT_WINDOW_CAP) -> DecisionReport:

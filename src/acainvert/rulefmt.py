@@ -124,6 +124,9 @@ def window_from_dict(doc: Any) -> WindowConfig:
     if not isinstance(raw_cells, list):
         raise RuleFormatError(f"cells must be a list, got {raw_cells!r}")
     cells = tuple(tuple(_integer_list(c, "cell")) for c in raw_cells)
+    dimensions = {len(c) for c in cells}
+    if len(dimensions) > 1 or 0 in dimensions:
+        raise RuleFormatError(f"cells must share one positive dimension, got dimensions {sorted(dimensions)}")
     states = tuple(_integer_list(raw_states, "states"))
     try:
         return WindowConfig(cells, states)

@@ -267,6 +267,10 @@ class TestWithNeighborhood:
         assert wide.neighborhood == ECA_NEIGHBORHOOD
         assert minimize_neighborhood(wide) == rule
 
+    def test_own_neighborhood_returns_the_rule(self):
+        for rule in (eca_from_wolfram(110), rule_of([1, 0], 0), rule_of([0, 1, 1, 0], -1, 1)):
+            assert with_neighborhood(rule, rule.neighborhood) is rule
+
     def test_rejects_missing_offset(self):
         rule = eca_from_wolfram(110)
         with pytest.raises(ValueError):

@@ -169,6 +169,18 @@ class TestCheckInversePurely:
         with pytest.raises(ResourceCapExceededError):
             check_inverse_purely(eca_from_wolfram(110), eca_from_wolfram(110), cap=4)
 
+    def test_int64_index_limit_binds_above_it(self):
+        # (sum of the 9 reads) mod 3 over the 4-D von Neumann neighborhood:
+        # |T| = 41 and 3^41 > 2^62, so the int64 window index, not the cap, binds
+        origin = (0,) * 4
+        offsets = [origin] + [tuple(s if i == j else 0 for i in range(4)) for j in range(4) for s in (-1, 1)]
+        table = tuple(sum(local) % 3 for local in itertools.product(range(3), repeat=9))
+        C = LocalRule(Alphabet(3), Neighborhood(4, tuple(offsets)), table)
+        assert len(PurelyTestWindow.build(C.neighborhood).cells) == 41
+        with pytest.raises(ResourceCapExceededError, match=f"index limit is {1 << 62}$"):
+            check_inverse_purely(C, C, cap=1 << 80)
+        assert decide_purely(C, window_cap=1 << 80).verdict is Verdict.RESOURCE_CAP_EXCEEDED
+
     def test_worker_count_does_not_change_result(self):
         base = check_inverse_purely(eca_from_wolfram(110), eca_from_wolfram(110))
         for workers in (2, 4):
@@ -337,6 +349,43 @@ class TestPurelyGoldenWitnesses:
     def test_check_seeded_pairs(self):
         docs = [check_inverse_purely(C, G).to_dict() for C, G in golden_purely_pairs()]
         assert sha256_of(docs) == "f18f46c0419836f1d36ab84400f0c3222624502d6e17f80a770fccdd2ae67d86"
+
+
+def widening_pairs():
+    """A fixed, seeded list of 48 pairs at q = 2, 3 on offsets in [-2, 2],
+    half of them without offset 0."""
+    rng = random.Random(1210)
+    pairs = []
+    for i in range(48):
+        q = 2 + i // 2 % 2
+        offsets = rng.sample((-2, -1, 1, 2), rng.randint(1, 4 - q))
+        if i % 2:
+            offsets.append(0)
+        table = tuple(rng.randrange(q) for _ in range(q ** len(offsets)))
+        C = LocalRule(Alphabet(q), Neighborhood.line(*offsets), table)
+        pairs.append((C, _partner(rng, C)))
+    return pairs
+
+
+def test_checks_agree_on_pairs_widened_to_their_reads():
+    """The purely sweep reads both rules widened to M = N ∪ {0}, and the
+    fully sweep widened to the block min(M) .. max(M).  Widening a pair
+    to that neighborhood first leaves the test window and the activation
+    family as they are, so the verdict, witness and window count agree."""
+    clauses = set()
+    for C, G in widening_pairs():
+        reads = sorted({0, *(n[0] for n in C.neighborhood)})
+        for check, wide, cap in (
+            (check_inverse_purely, Neighborhood.line(*reads), 1 << 24),
+            (check_inverse_fully_1d, Neighborhood.line(*range(reads[0], reads[-1] + 1)), 1 << 800),
+        ):
+            a = check(C, G, cap=cap)
+            b = check(with_neighborhood(C, wide), with_neighborhood(G, wide), cap=cap)
+            assert (a.verdict, a.witness, a.stats.windows) == (b.verdict, b.witness, b.stats.windows), (C, G)
+            clauses.add(a.witness.clause if a.witness else None)
+    assert clauses == {
+        None, "purely-forward", "purely-backward", "eq1-forward", "eq1-backward", "eq2-delta", "eq2-gamma"
+    }
 
 
 @pytest.mark.parametrize(

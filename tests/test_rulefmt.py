@@ -166,6 +166,9 @@ def test_malformed_window_rejected():
         pytest.param({"cells": "01", "states": [0, 1]}, id="str-cells"),
         pytest.param({"cells": [0], "states": [0]}, id="bare-cell"),
         pytest.param({"cells": [[0], [0]], "states": [0, 1]}, id="repeated-cell"),
+        pytest.param({"cells": [[0], [0, 1]], "states": [0, 1]}, id="mixed-dimension"),
+        pytest.param({"cells": [[]], "states": [0]}, id="zero-dimension"),
+        pytest.param({"cells": [[0], [0, 1], []], "states": [0, 1, 1]}, id="mixed-and-zero-dimension"),
         pytest.param([[0], [1]], id="not-an-object"),
     ],
 )
