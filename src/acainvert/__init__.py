@@ -13,15 +13,12 @@ from .core import (
     local_config,
     minimize_neighborhood,
     step,
-    translate,
     with_neighborhood,
     wolfram_number,
 )
 from .errors import (
     AlphabetMismatchError,
     CaError,
-    CenterAheadError,
-    CenterBehindError,
     CenterNotInNeighborhoodError,
     DomainMismatchError,
     LatticeTooSmallError,
@@ -55,14 +52,9 @@ from .nakamura import (
     BarState,
     bar_alphabet,
     build_bar_pair,
-    curr_local,
     decode_bar_state,
-    embed,
     embed_ring,
     encode_bar_state,
-    is_ahead,
-    is_behind,
-    old_local,
     verify_theorem1,
 )
 from .atlas import (

@@ -36,7 +36,6 @@ __all__ = [
     "local_config",
     "step",
     "difference",
-    "translate",
     "eca_from_wolfram",
     "wolfram_number",
     "minimize_neighborhood",
@@ -69,10 +68,6 @@ class Alphabet:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("alphabet must have at least one state")
-
-    @property
-    def states(self) -> range:
-        return range(self.size)
 
     def __contains__(self, state: int) -> bool:
         return 0 <= state < self.size
@@ -110,10 +105,6 @@ class Neighborhood:
     @property
     def origin(self) -> Cell:
         return (0,) * self.dimension
-
-    @property
-    def contains_origin(self) -> bool:
-        return self.origin in self.offsets
 
     def pairwise_sums(self) -> frozenset[Cell]:
         return frozenset(add_cells(m, n) for m in self.offsets for n in self.offsets)
@@ -256,13 +247,6 @@ class WindowConfig:
             states[pos] = int(value)
         return WindowConfig(self.cells, tuple(states))
 
-    def segment(self, lo: int, hi: int) -> tuple[int, ...]:
-        """States on the inclusive 1-D interval ``[lo, hi]``."""
-        return tuple(self[(i,)] for i in range(lo, hi + 1))
-
-    def to_mapping(self) -> dict[Cell, int]:
-        return dict(zip(self.cells, self.states))
-
 
 def local_config(config: WindowConfig, cell: int | Sequence[int], neighborhood: Neighborhood) -> tuple[int, ...]:
     """The states seen from ``cell`` along the neighborhood offsets."""
@@ -294,14 +278,6 @@ def difference(a: WindowConfig, b: WindowConfig) -> frozenset[Cell]:
     if a.cells != b.cells:
         raise DomainMismatchError("configurations have different domains")
     return frozenset(c for c, x, y in zip(a.cells, a.states, b.states) if x != y)
-
-
-def translate(config: WindowConfig, j: int | Sequence[int]) -> WindowConfig:
-    """Shift the whole window by ``j``: cell ``i`` moves to ``i + j``."""
-    if not config.cells:
-        return config
-    shift = as_cell(j, config.dimension)
-    return WindowConfig(tuple(add_cells(c, shift) for c in config.cells), config.states)
 
 
 def eca_from_wolfram(number: int) -> LocalRule:

@@ -43,14 +43,6 @@ class CenterNotInNeighborhoodError(CaError):
     """The operation requires offset 0 to belong to the neighborhood."""
 
 
-class CenterAheadError(CaError):
-    """A bar-state neighbor is one tick ahead of the center."""
-
-
-class CenterBehindError(CaError):
-    """A bar-state neighbor is one tick behind the center."""
-
-
 class ResourceCapExceededError(CaError):
     """An enumeration would exceed the configured resource cap."""
 

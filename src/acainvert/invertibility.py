@@ -194,6 +194,12 @@ class FullyTestWindow:
         m = neighborhood.max_abs_1d()
         if m is None:
             return cls(max_distance=None, candidates=(0,), cells=((0,),))
+        if cap is not None and q >= 2 and 2 * m + 1 > cap.bit_length():
+            # the window spans more than 2^(2m+1) > 2m+1 cells, so it fails the
+            # test below; this refuses before building a q^(2m+1) integer
+            raise ResourceCapExceededError(
+                f"fully test window has more than {q}^{2 * m + 1} cells, so {q}^cells exceeds cap {cap}"
+            )
         reach = q ** (2 * m + 1)
         offs = [n[0] for n in neighborhood.offsets]
         lo = -reach + min(0, min(offs))

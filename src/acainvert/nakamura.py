@@ -21,23 +21,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core import (
-    Alphabet,
-    LocalRule,
-    Neighborhood,
-    WindowConfig,
-    add_cells,
-    local_config,
-    with_neighborhood,
-)
-from .errors import (
-    AlphabetMismatchError,
-    CenterAheadError,
-    CenterBehindError,
-    CenterNotInNeighborhoodError,
-    NeighborhoodMismatchError,
-    OutOfDomainError,
-)
+from .core import Alphabet, LocalRule, Neighborhood, with_neighborhood
+from .errors import AlphabetMismatchError, NeighborhoodMismatchError
 from .invertibility import DEFAULT_WINDOW_CAP, DecisionReport, check_inverse_purely
 
 __all__ = [
@@ -46,12 +31,7 @@ __all__ = [
     "bar_alphabet",
     "encode_bar_state",
     "decode_bar_state",
-    "is_ahead",
-    "is_behind",
-    "curr_local",
-    "old_local",
     "build_bar_pair",
-    "embed",
     "embed_ring",
     "verify_theorem1",
 ]
@@ -91,55 +71,6 @@ def decode_bar_state(q: int, code: int) -> BarState:
     return BarState(curr=curr, old=old, time=t)
 
 
-def _center_position(neighborhood: Neighborhood) -> int:
-    origin = neighborhood.origin
-    if origin not in neighborhood:
-        raise CenterNotInNeighborhoodError("bar predicates need offset 0 in the neighborhood")
-    return neighborhood.offsets.index(origin)
-
-
-def is_ahead(neighborhood: Neighborhood, local: Sequence[BarState]) -> bool:
-    """True iff some neighbor's stamp is one tick behind the center's."""
-    t0 = local[_center_position(neighborhood)].time
-    return any(t0 == (s.time + 1) % 3 for s in local)
-
-
-def is_behind(neighborhood: Neighborhood, local: Sequence[BarState]) -> bool:
-    """True iff some neighbor's stamp is one tick ahead of the center's."""
-    t0 = local[_center_position(neighborhood)].time
-    return any(s.time == (t0 + 1) % 3 for s in local)
-
-
-def curr_local(neighborhood: Neighborhood, local: Sequence[BarState]) -> tuple[int, ...]:
-    """The current base-rule view: neighbors that already advanced
-    contribute their previous state."""
-    t0 = local[_center_position(neighborhood)].time
-    out = []
-    for s in local:
-        if s.time == t0:
-            out.append(s.curr)
-        elif s.time == (t0 + 1) % 3:
-            out.append(s.old)
-        else:
-            raise CenterAheadError("a neighbor lags the center; current view undefined")
-    return tuple(out)
-
-
-def old_local(neighborhood: Neighborhood, local: Sequence[BarState]) -> tuple[int, ...]:
-    """The previous base-rule view: neighbors still one tick back
-    contribute their current state."""
-    t0 = local[_center_position(neighborhood)].time
-    out = []
-    for s in local:
-        if s.time == t0:
-            out.append(s.old)
-        elif s.time == (t0 - 1) % 3:
-            out.append(s.curr)
-        else:
-            raise CenterBehindError("a neighbor leads the center; previous view undefined")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BarRulePair:
     """Transformed forward/backward rules over the bar-state alphabet."""
@@ -174,7 +105,7 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
     gamma = with_neighborhood(G, shared)
     q = C.q
     alphabet = bar_alphabet(q)
-    center = _center_position(shared)
+    center = shared.offsets.index(shared.origin)
     arity = len(shared)
 
     size = alphabet.size
@@ -193,8 +124,11 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
         ahead = (t0 == (stamp + 1) % 3).any(axis=0)
         behind = (stamp == (t0 + 1) % 3).any(axis=0)
         same = stamp == t0
-        # table indices of the views of curr_local and old_local wherever
-        # those are defined; local_index reads one row per position
+        # table indices of the base-rule views: the current view reads a
+        # neighbor a tick ahead of the center by its old state, the previous
+        # view one a tick behind by its curr.  Each is used only where no
+        # neighbor lags (now) or leads (before) the center, where it is
+        # defined; local_index reads one row per position
         now = delta.local_index(np.where(same, curr, old))
         before = delta.local_index(np.where(same, old, curr))
         advance = ~ahead & (old[center] == gtab[now])
@@ -209,26 +143,6 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
         base_alphabet=C.alphabet,
         neighborhood=shared,
     )
-
-
-def embed(config: WindowConfig, G: LocalRule, t: int) -> WindowConfig:
-    """Lift a base window into bar states on the cells with full
-    neighborhoods.
-
-    Each lifted cell i holds (c(i), gamma(c at i+N), t) encoded as an
-    integer, so every cell starts consistent with the backward rule and is
-    forward movable.  Cells whose neighborhood escapes the domain are
-    dropped; an empty result is an error.
-    """
-    q = G.q
-    cells = {}
-    for cell in config.cells:
-        if all(add_cells(cell, n) in config for n in G.neighborhood.offsets):
-            old = G.apply_local(local_config(config, cell, G.neighborhood))
-            cells[cell] = encode_bar_state(q, BarState(config[cell], old, t % 3))
-    if not cells:
-        raise OutOfDomainError("no cell of the window has its full neighborhood in the domain")
-    return WindowConfig.from_mapping(cells)
 
 
 def embed_ring(states: Sequence[int], G: LocalRule, t: int) -> tuple[BarState, ...]:

@@ -25,7 +25,6 @@ __all__ = [
     "load_rule",
     "dump_rule",
     "window_to_dict",
-    "window_from_dict",
 ]
 
 
@@ -113,22 +112,3 @@ def dump_rule(rule: LocalRule, path: str | Path, extra: dict[str, Any] | None = 
 def window_to_dict(window: WindowConfig) -> dict[str, Any]:
     return {"cells": [list(c) for c in window.cells], "states": list(window.states)}
 
-
-def window_from_dict(doc: Any) -> WindowConfig:
-    if not isinstance(doc, dict):
-        raise RuleFormatError("window document must be a JSON object")
-    try:
-        raw_cells, raw_states = doc["cells"], doc["states"]
-    except KeyError as exc:
-        raise RuleFormatError(f"window document missing field: {exc}") from exc
-    if not isinstance(raw_cells, list):
-        raise RuleFormatError(f"cells must be a list, got {raw_cells!r}")
-    cells = tuple(tuple(_integer_list(c, "cell")) for c in raw_cells)
-    dimensions = {len(c) for c in cells}
-    if len(dimensions) > 1 or 0 in dimensions:
-        raise RuleFormatError(f"cells must share one positive dimension, got dimensions {sorted(dimensions)}")
-    states = tuple(_integer_list(raw_states, "states"))
-    try:
-        return WindowConfig(cells, states)
-    except ValueError as exc:
-        raise RuleFormatError(f"window document malformed: {exc}") from exc

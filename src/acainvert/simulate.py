@@ -34,9 +34,6 @@ class Trace:
     initial: tuple[int, ...]
     steps: tuple[TraceStep, ...]
 
-    def configurations(self) -> list[tuple[int, ...]]:
-        return [self.initial] + [s.states for s in self.steps]
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "scheme": self.scheme,

@@ -11,10 +11,16 @@ from dataclasses import dataclass
 
 import pytest
 
-from acainvert import Neighborhood, cli
+from acainvert import Neighborhood, WindowConfig, cli
 from acainvert.atlas import classify_all_eca
+from acainvert.core import add_cells
 
 PADDED_NEIGHBORHOOD = Neighborhood.line(-2, -1, 0, 1, 3)
+
+
+def translate(config: WindowConfig, shift: int) -> WindowConfig:
+    """Shift a 1-D window by ``shift``: cell ``i`` moves to ``i + shift``."""
+    return WindowConfig(tuple(add_cells(c, (shift,)) for c in config.cells), config.states)
 
 
 def sha256_of(docs) -> str:

@@ -201,3 +201,98 @@ def step_ring(offsets, q, table, states, active):
             idx = idx * q + states[(i + o) % n]
         out[i] = table[idx]
     return tuple(out)
+
+
+# Bar states of the Nakamura construction are plain (curr, old, time)
+# tuples, coded as curr * 3q + old * 3 + time.  ``center`` is the position
+# of offset 0 in a local configuration.
+
+
+class UndefinedView(Exception):
+    """A base-rule view of a bar-state local configuration is undefined."""
+
+
+def is_ahead(local, center):
+    """Some neighbor's stamp is one tick behind the center's."""
+    t0 = local[center][2]
+    return any(t0 == (t + 1) % 3 for _, _, t in local)
+
+
+def is_behind(local, center):
+    """Some neighbor's stamp is one tick ahead of the center's."""
+    t0 = local[center][2]
+    return any(t == (t0 + 1) % 3 for _, _, t in local)
+
+
+def curr_local(local, center):
+    """The current base-rule view: neighbors that already advanced
+    contribute their previous state."""
+    t0 = local[center][2]
+    out = []
+    for curr, old, t in local:
+        if t == t0:
+            out.append(curr)
+        elif t == (t0 + 1) % 3:
+            out.append(old)
+        else:
+            raise UndefinedView("a neighbor lags the center")
+    return tuple(out)
+
+
+def old_local(local, center):
+    """The previous base-rule view: neighbors still one tick back
+    contribute their current state."""
+    t0 = local[center][2]
+    out = []
+    for curr, old, t in local:
+        if t == t0:
+            out.append(old)
+        elif t == (t0 - 1) % 3:
+            out.append(curr)
+        else:
+            raise UndefinedView("a neighbor leads the center")
+    return tuple(out)
+
+
+def naive_bar_tables(q, c_offsets, c_table, g_offsets, g_table):
+    """The forward and backward bar tables of a 1-D base pair, entry by entry.
+
+    The shared offsets are those of both rules, their negations and 0,
+    sorted.  Each base rule reads its own offsets out of a view over the
+    shared offsets.  Forward advances the center (new curr from C, old
+    from the center's curr, stamp + 1) when no neighbor lags and the
+    center's old equals G on the current view; backward retreats it
+    (curr from the center's old, old from G, stamp - 1) when no neighbor
+    leads and the center's curr equals C on the previous view.  Returns
+    ``(offsets, forward, backward)``.
+    """
+    offsets = sorted({0} | set(c_offsets) | set(g_offsets) | {-o for o in (*c_offsets, *g_offsets)})
+    center = offsets.index(0)
+    size = 3 * q * q
+
+    def base(rule_offsets, table, view):
+        idx = 0
+        for o in rule_offsets:
+            idx = idx * q + view[offsets.index(o)]
+        return table[idx]
+
+    def code(curr, old, t):
+        return curr * 3 * q + old * 3 + t
+
+    forward, backward = [], []
+    for codes in product(range(size), repeat=len(offsets)):
+        local = [(c // (3 * q), c // 3 % q, c % 3) for c in codes]
+        curr, old, t0 = local[center]
+        out = codes[center]
+        if not is_ahead(local, center):
+            view = curr_local(local, center)
+            if old == base(g_offsets, g_table, view):
+                out = code(base(c_offsets, c_table, view), curr, (t0 + 1) % 3)
+        forward.append(out)
+        out = codes[center]
+        if not is_behind(local, center):
+            view = old_local(local, center)
+            if curr == base(c_offsets, c_table, view):
+                out = code(old, base(g_offsets, g_table, view), (t0 - 1) % 3)
+        backward.append(out)
+    return tuple(offsets), tuple(forward), tuple(backward)

@@ -21,7 +21,6 @@ from acainvert import (
     eca_from_wolfram,
     minimize_neighborhood,
     step,
-    translate,
     with_neighborhood,
     wolfram_number,
 )
@@ -35,7 +34,7 @@ from acainvert.invertibility import (
 )
 from acainvert.nakamura import build_bar_pair, decode_bar_state, embed_ring, verify_theorem1
 
-from conftest import PADDED_NEIGHBORHOOD
+from conftest import PADDED_NEIGHBORHOOD, translate
 from naive_oracles import (
     all_tables,
     naive_check_fully,

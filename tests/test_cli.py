@@ -55,6 +55,14 @@ class TestDecide:
         assert result.exit_code == 2
         assert json.loads(result.stdout)["verdict"] == "resource-cap-exceeded"
 
+    def test_far_offset_fully_cap_exceeded_exits_two(self, run_cli, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"dimension": 1, "alphabet": 2, "neighborhood": [[0], [8000]],
+                                    "table": [0, 1, 1, 0]}))
+        result = run_cli("decide", "--rule", str(path), "--scheme", "fully")
+        assert result.exit_code == 2
+        assert json.loads(result.stdout)["verdict"] == "resource-cap-exceeded"
+
     def test_out_of_range_wolfram_exits_two(self, run_cli):
         result = run_cli("decide", "--wolfram", "300", "--scheme", "purely")
         assert result.exit_code == 2

@@ -87,6 +87,23 @@ def replay_witness(C, G, report, candidates=None):
     elif clause == "eq2-gamma":
         assert step(G, w, [(0,)]) == w
         assert all(step(C, w, [a]) != w for a in candidates)
+    elif clause == "derivation-conflict":
+        # the window is the minimized rule's neighborhood; two states of
+        # cell 0 other than the successor's both step to the successor, so
+        # no rule undoes both steps
+        mini = minimize_neighborhood(C)
+        origin = mini.neighborhood.origin
+        assert w.cells == mini.neighborhood.offsets
+        cells = dict(zip(w.cells, w.states))
+        if origin not in cells:
+            # the rule does not read cell 0: the successor holds its output there
+            cells[origin] = mini.apply_local(w.states)
+        successor = WindowConfig.from_mapping(cells)
+        sources = [
+            v for v in range(C.q)
+            if v != successor[origin] and step(mini, successor.with_updates({origin: v}), [origin]) == successor
+        ]
+        assert len(sources) >= 2, sources
     else:
         raise AssertionError(f"unknown clause {clause}")
 
@@ -124,6 +141,13 @@ class TestFullyTestWindow:
     def test_cap_guard(self):
         with pytest.raises(ResourceCapExceededError):
             FullyTestWindow.build(2, eca_from_wolfram(110).neighborhood, cap=1 << 10)
+
+    @pytest.mark.parametrize("far", [8000, 10**6])
+    def test_far_offset_exceeds_cap_without_a_huge_size(self, far):
+        # 2^(2m+1) has thousands of digits here; the refusal must not print it
+        C = rule_of([0, 1, 1, 0], 0, far)
+        with pytest.raises(ResourceCapExceededError):
+            check_inverse_fully_1d(C, C)
 
 
 class TestCheckInversePurely:
@@ -450,6 +474,41 @@ class TestDeriveCandidate:
             candidate = derive_candidate_inverse(rule)
             rep = check_inverse_purely(rule, candidate)
             assert rep.verdict is Verdict.INVERTIBLE
+
+
+def conflict_rules():
+    """The 3-state rule x_1 on N = (1,), and 60 seeded rules with q <= 3 on
+    offsets in [-2, 2] whose candidate derivation conflicts, half of them
+    drawn with offset 0 and half without.  No binary rule conflicts: two
+    flips onto one image change its center from two values other than its
+    own."""
+    rng = random.Random(1211)
+    rules = [rule_of([0, 1, 2], 1, q=3)]
+    while len(rules) < 61:
+        q = rng.choice((2, 3))
+        with_origin = len(rules) % 2
+        offsets = rng.sample((-2, -1, 1, 2), rng.randint(1 - with_origin, 2)) + [0] * with_origin
+        rule = rule_of([rng.randrange(q) for _ in range(q ** len(offsets))], *offsets, q=q)
+        if isinstance(derive_candidate_inverse(minimize_neighborhood(rule)), DerivationConflict):
+            rules.append(rule)
+    return rules
+
+
+@pytest.mark.parametrize("decide", [decide_purely, decide_fully_1d])
+def test_derivation_conflict_witnesses_replay(decide):
+    """Every derivation-conflict witness among the 256 elementary rules
+    (there are none) and the conflict rules replays through core.step."""
+    eca = [eca_from_wolfram(n) for n in range(256)]
+    replayed = {True: 0, False: 0}
+    for rule in eca + conflict_rules():
+        rep = decide(rule)
+        if rep.witness is None or rep.witness.clause != "derivation-conflict":
+            assert rule in eca, rule
+            continue
+        replay_witness(rule, None, rep)
+        replayed[rule.neighborhood.origin in minimize_neighborhood(rule).neighborhood] += 1
+    # the minimized neighborhood holds 0 for some conflicts and lacks it for others
+    assert replayed[True] >= 10 and replayed[False] >= 10, replayed
 
 
 def test_derivations_without_center_golden_digest():

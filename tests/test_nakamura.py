@@ -11,35 +11,26 @@ from acainvert import (
     Alphabet,
     LocalRule,
     Neighborhood,
-    WindowConfig,
+    derive_candidate_inverse,
     eca_from_wolfram,
+    minimize_neighborhood,
+    with_neighborhood,
 )
-from acainvert.errors import (
-    AlphabetMismatchError,
-    CenterAheadError,
-    CenterBehindError,
-    CenterNotInNeighborhoodError,
-    NeighborhoodMismatchError,
-    OutOfDomainError,
-)
+from acainvert.errors import AlphabetMismatchError, NeighborhoodMismatchError
 from acainvert.invertibility import Verdict
 from acainvert.rulefmt import dump_rule
 from acainvert.nakamura import (
     BarState,
     bar_alphabet,
     build_bar_pair,
-    curr_local,
     decode_bar_state,
-    embed,
     embed_ring,
     encode_bar_state,
-    is_ahead,
-    is_behind,
-    old_local,
     verify_theorem1,
 )
 
 from conftest import sha256_of
+from naive_oracles import UndefinedView, curr_local, is_ahead, is_behind, naive_bar_tables, old_local
 
 ECA = eca_from_wolfram(110).neighborhood
 
@@ -104,47 +95,46 @@ class TestEncoding:
 
 
 class TestMovabilityPredicates:
+    """The naive oracle's bar predicates, on (curr, old, time) tuples read
+    at offsets (-1, 0, 1)."""
+
     def test_uniform_stamps_neither_ahead_nor_behind(self):
-        local = [BarState(0, 0, 1)] * 3
-        assert not is_ahead(ECA, local)
-        assert not is_behind(ECA, local)
+        local = [(0, 0, 1)] * 3
+        assert not is_ahead(local, 1)
+        assert not is_behind(local, 1)
 
     def test_lagging_neighbor_makes_center_ahead(self):
-        local = [BarState(0, 0, 0), BarState(0, 0, 1), BarState(0, 0, 1)]
-        assert is_ahead(ECA, local)
-        assert not is_behind(ECA, local)
+        local = [(0, 0, 0), (0, 0, 1), (0, 0, 1)]
+        assert is_ahead(local, 1)
+        assert not is_behind(local, 1)
 
     def test_leading_neighbor_makes_center_behind(self):
-        local = [BarState(0, 0, 2), BarState(0, 0, 1), BarState(0, 0, 1)]
-        assert is_behind(ECA, local)
-        assert not is_ahead(ECA, local)
+        local = [(0, 0, 2), (0, 0, 1), (0, 0, 1)]
+        assert is_behind(local, 1)
+        assert not is_ahead(local, 1)
 
     def test_wraparound_of_stamps(self):
         # stamp 0 is one tick ahead of stamp 2
-        local = [BarState(0, 0, 0), BarState(0, 0, 2), BarState(0, 0, 2)]
-        assert is_behind(ECA, local)
+        local = [(0, 0, 0), (0, 0, 2), (0, 0, 2)]
+        assert is_behind(local, 1)
 
     def test_curr_local_uses_old_of_advanced_neighbors(self):
-        local = [BarState(1, 0, 2), BarState(0, 1, 1), BarState(1, 1, 1)]
-        assert curr_local(ECA, local) == (0, 0, 1)
+        local = [(1, 0, 2), (0, 1, 1), (1, 1, 1)]
+        assert curr_local(local, 1) == (0, 0, 1)
 
     def test_curr_local_undefined_when_neighbor_lags(self):
-        local = [BarState(0, 0, 0), BarState(0, 0, 1), BarState(0, 0, 1)]
-        with pytest.raises(CenterAheadError):
-            curr_local(ECA, local)
+        local = [(0, 0, 0), (0, 0, 1), (0, 0, 1)]
+        with pytest.raises(UndefinedView):
+            curr_local(local, 1)
 
     def test_old_local_uses_curr_of_lagging_neighbors(self):
-        local = [BarState(1, 0, 0), BarState(0, 1, 1), BarState(1, 0, 1)]
-        assert old_local(ECA, local) == (1, 1, 0)
+        local = [(1, 0, 0), (0, 1, 1), (1, 0, 1)]
+        assert old_local(local, 1) == (1, 1, 0)
 
     def test_old_local_undefined_when_neighbor_leads(self):
-        local = [BarState(0, 0, 2), BarState(0, 0, 1), BarState(0, 0, 1)]
-        with pytest.raises(CenterBehindError):
-            old_local(ECA, local)
-
-    def test_requires_center(self):
-        with pytest.raises(CenterNotInNeighborhoodError):
-            curr_local(Neighborhood.line(1), [BarState(0, 0, 0)])
+        local = [(0, 0, 2), (0, 0, 1), (0, 0, 1)]
+        with pytest.raises(UndefinedView):
+            old_local(local, 1)
 
 
 class TestBuildBarPair:
@@ -247,6 +237,33 @@ BAR_FILE_DIGESTS = [
 ]
 
 
+def _plain(rule):
+    """A 1-D rule as the naive oracles take it: (offsets, table)."""
+    return tuple(o[0] for o in rule.neighborhood.offsets), rule.table
+
+
+@pytest.mark.parametrize("index", range(len(BAR_TABLE_DIGESTS)))
+def test_tables_match_naive_oracle(index):
+    C, G = bar_table_inputs()[index]
+    pair = build_bar_pair(C, G)
+    offsets, forward, backward = naive_bar_tables(C.q, *_plain(C), *_plain(G))
+    assert offsets == tuple(o[0] for o in pair.neighborhood.offsets)
+    assert pair.forward.table == forward
+    assert pair.backward.table == backward
+
+
+@pytest.mark.parametrize("index", range(len(BAR_TABLE_DIGESTS)))
+def test_tables_are_derived_inverses_of_each_other(index):
+    """Each bar table is the candidate inverse that derive_candidate_inverse
+    gives for its partner, minimized and widened back: a cross-check
+    through code that build_bar_pair does not share."""
+    pair = build_bar_pair(*bar_table_inputs()[index])
+    for one, other in ((pair.forward, pair.backward), (pair.backward, pair.forward)):
+        candidate = derive_candidate_inverse(minimize_neighborhood(one))
+        assert isinstance(candidate, LocalRule)
+        assert with_neighborhood(candidate, one.neighborhood) == other
+
+
 class TestBarFileGoldenDigests:
     """Digests of the files ``nakamura --out-dir`` writes, recorded while
     the rule writer still encoded the whole indented document with
@@ -269,14 +286,6 @@ class TestBarFileGoldenDigests:
 
 
 class TestEmbed:
-    def test_identity_pair_duplicates_current_state(self):
-        window = WindowConfig.line((0, 1, 1, 0, 1), start=-2)
-        lifted = embed(window, eca_from_wolfram(51), 0)
-        assert lifted.cells == ((-1,), (0,), (1,))
-        for cell in lifted.cells:
-            state = decode_bar_state(2, lifted[cell])
-            assert state == BarState(window[cell], window[cell], 0)
-
     def test_toggler_pair_stores_flipped_old_state(self):
         lifted = embed_ring((0, 1), eca_from_wolfram(204), 2)
         assert lifted == (BarState(0, 1, 2), BarState(1, 0, 2))
@@ -284,15 +293,6 @@ class TestEmbed:
     def test_time_stamp_reduced_mod_3(self):
         lifted = embed_ring((0,), eca_from_wolfram(51), 7)
         assert lifted[0].time == 1
-
-    def test_interior_restriction(self):
-        window = WindowConfig.line((1, 1, 1), start=0)
-        lifted = embed(window, eca_from_wolfram(51), 0)
-        assert lifted.cells == ((1,),)
-
-    def test_empty_interior_is_an_error(self):
-        with pytest.raises(OutOfDomainError):
-            embed(WindowConfig.line((1,), start=0), eca_from_wolfram(51), 0)
 
     def test_ring_embedding_needs_one_dimension(self):
         square = LocalRule(Alphabet(2), Neighborhood(2, ((0, 0),)), (0, 1))

@@ -16,7 +16,6 @@ from acainvert.rulefmt import (
     load_rule,
     rule_from_dict,
     rule_to_dict,
-    window_from_dict,
     window_to_dict,
 )
 
@@ -148,30 +147,4 @@ def test_window_round_trip():
     w = WindowConfig.line((0, 1, 0, 1), start=-2)
     doc = window_to_dict(w)
     assert doc == {"cells": [[-2], [-1], [0], [1]], "states": [0, 1, 0, 1]}
-    assert window_from_dict(doc) == w
 
-
-def test_malformed_window_rejected():
-    with pytest.raises(RuleFormatError):
-        window_from_dict({"cells": [[0]]})
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        # bool, float and str are not integers here, even where int() would take them
-        pytest.param({"cells": [[True], [2.9]], "states": [1, 0]}, id="bool-float-cells"),
-        pytest.param({"cells": [[0], [1]], "states": ["1", 0.5]}, id="str-float-states"),
-        pytest.param({"cells": [[0]], "states": [False]}, id="bool-state"),
-        pytest.param({"cells": "01", "states": [0, 1]}, id="str-cells"),
-        pytest.param({"cells": [0], "states": [0]}, id="bare-cell"),
-        pytest.param({"cells": [[0], [0]], "states": [0, 1]}, id="repeated-cell"),
-        pytest.param({"cells": [[0], [0, 1]], "states": [0, 1]}, id="mixed-dimension"),
-        pytest.param({"cells": [[]], "states": [0]}, id="zero-dimension"),
-        pytest.param({"cells": [[0], [0, 1], []], "states": [0, 1, 1]}, id="mixed-and-zero-dimension"),
-        pytest.param([[0], [1]], id="not-an-object"),
-    ],
-)
-def test_malformed_window_values_rejected(doc):
-    with pytest.raises(RuleFormatError):
-        window_from_dict(doc)

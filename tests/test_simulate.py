@@ -29,7 +29,7 @@ def test_purely_scheme_respects_probability_extremes():
     rule = eca_from_wolfram(110)
     quiet = simulate(rule, [0, 1, 0, 1, 1], "purely", 10, seed=3, p=0.0)
     assert all(entry.active == () for entry in quiet.steps)
-    assert quiet.configurations()[-1] == (0, 1, 0, 1, 1)
+    assert quiet.steps[-1].states == (0, 1, 0, 1, 1)
     busy = simulate(rule, [0, 1, 0, 1, 1], "purely", 10, seed=3, p=1.0)
     assert all(entry.active == (0, 1, 2, 3, 4) for entry in busy.steps)
 
