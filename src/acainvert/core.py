@@ -1,16 +1,20 @@
 """Alphabets, neighborhoods, local rules, finite windows, and step operators.
 
 Cells are d-tuples of integers and states are dense integers ``0..q-1``.
-A rule table is stored flat in mixed-radix order: the local configuration
-``(s_1, ..., s_k)`` read along the canonically sorted offsets maps to index
-``sum_j s_j * q**(k-1-j)``.  An elementary rule's entry ``i`` is bit ``7 - i``
-of its Wolfram number, so ``table[i] = (number >> (7 - i)) & 1``.
+A rule table is stored once, as a flat read-only numpy array in
+mixed-radix order: the local configuration ``(s_1, ..., s_k)`` read along
+the canonically sorted offsets maps to index ``sum_j s_j * q**(k-1-j)``.
+That is the C order of the axis view ``array.reshape((q,) * k)``, whose
+axis j reads offset j, so widening and minimizing a rule add and drop
+axes.  An elementary rule's entry ``i`` is bit ``7 - i`` of its Wolfram
+number, so ``table[i] = (number >> (7 - i)) & 1``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -66,8 +70,9 @@ class Alphabet:
     size: int
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("alphabet must have at least one state")
+        # a table entry is read through uint64 (see LocalRule), so q <= 2**63
+        if not 1 <= self.size <= 1 << 63:
+            raise ValueError(f"alphabet must have 1 to 2**63 states, got {self.size}")
 
     def __contains__(self, state: int) -> bool:
         return 0 <= state < self.size
@@ -134,22 +139,58 @@ ECA_NEIGHBORHOOD = Neighborhood(1, ((-1,), (0,), (1,)))
 
 @dataclass(frozen=True)
 class LocalRule:
-    """A local transition table over a fixed alphabet and neighborhood."""
+    """A local transition table over a fixed alphabet and neighborhood.
+
+    The ``table`` argument may be any integer sequence or array with q^k
+    entries, taken in C order; floats, strings and bools are refused.  It
+    is stored once, as the bytes of its entries in the smallest unsigned
+    dtype that holds q - 1.  ``array`` is a flat read-only view of them,
+    and its view ``array.reshape((q,) * k)`` has one axis per offset (see
+    the module docstring).  The ``table`` attribute reads the same entries
+    as a tuple of Python ints.  Rules are equal when their alphabets,
+    neighborhoods and table bytes are.
+    """
 
     alphabet: Alphabet
     neighborhood: Neighborhood
-    table: tuple[int, ...]
+    array: np.ndarray = field(compare=False)
+    _bytes: bytes
 
-    def __post_init__(self) -> None:
-        table = tuple(map(int, self.table))
-        expected = self.alphabet.size ** len(self.neighborhood)
-        if len(table) != expected:
-            raise ValueError(f"table has {len(table)} entries, expected {expected}")
-        if min(table) < 0 or max(table) >= self.alphabet.size:
-            # the range test runs in C; the loop only names the first bad value
-            bad = next(v for v in table if v not in self.alphabet)
-            raise ValueError(f"table value {bad} outside alphabet of size {self.alphabet.size}")
-        object.__setattr__(self, "table", table)
+    def __init__(self, alphabet: Alphabet, neighborhood: Neighborhood, table: Sequence[int] | np.ndarray) -> None:
+        q = alphabet.size
+        values = np.asarray(table)
+        if values.dtype.kind not in "iu":
+            # floats, strings, bools, or integers beyond int64: name the first bad entry
+            entries = np.asarray(table, dtype=object).ravel().tolist()
+            for v in entries:
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ValueError(f"table value {v!r} is not an integer")
+                if not 0 <= v < q:
+                    raise ValueError(f"table value {v} outside alphabet of size {q}")
+            values = np.array(entries, dtype=np.int64)
+        if values.size != q ** len(neighborhood):
+            raise ValueError(f"table has {values.size} entries, expected {q ** len(neighborhood)}")
+        # viewed unsigned, a negative entry lies above every q <= 2**63
+        unsigned = values if values.dtype.kind == "u" else values.astype(np.int64, copy=False).view(np.uint64)
+        if unsigned.max() >= q:
+            bad = next(v for v in values.ravel().tolist() if not 0 <= v < q)
+            raise ValueError(f"table value {bad} outside alphabet of size {q}")
+        dtype = np.min_scalar_type(q - 1)
+        data = values.astype(dtype, copy=False).tobytes()
+        array = np.frombuffer(data, dtype)
+        # frozen, so the fields are written past __setattr__
+        vars(self).update(alphabet=alphabet, neighborhood=neighborhood, array=array, _bytes=data)
+
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    def __repr__(self) -> str:
+        return f"LocalRule(alphabet={self.alphabet!r}, neighborhood={self.neighborhood!r}, table={self.table!r})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        # copies and pickles go through the constructor, so ``array`` stays a read-only view of the bytes
+        return LocalRule, (self.alphabet, self.neighborhood, self.array)
 
     @property
     def q(self) -> int:
@@ -167,11 +208,8 @@ class LocalRule:
         return idx
 
     def decode_index(self, index: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.arity):
-            index, d = divmod(index, self.q)
-            digits.append(d)
-        return tuple(reversed(digits))
+        """The local configuration at a table index, first offset most significant."""
+        return tuple(index // self.q ** (self.arity - 1 - j) % self.q for j in range(self.arity))
 
     def apply_local(self, local: Sequence[int]) -> int:
         return self.table[self.local_index(local)]
@@ -179,10 +217,6 @@ class LocalRule:
     def all_locals(self) -> Iterator[tuple[int, ...]]:
         """All local configurations in table-index order."""
         return itertools.product(range(self.q), repeat=self.arity)
-
-    @cached_property
-    def table_array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -304,54 +338,38 @@ def wolfram_number(rule: LocalRule) -> int:
     return sum(bit << (7 - i) for i, bit in enumerate(rule.table))
 
 
-def _is_dummy(rule: LocalRule, position: int) -> bool:
-    """True when the table never depends on the offset at this position."""
-    q = rule.q
-    weight = q ** (rule.arity - 1 - position)
-    for idx in range(len(rule.table)):
-        if (idx // weight) % q != 0:
-            continue
-        first = rule.table[idx]
-        if any(rule.table[idx + v * weight] != first for v in range(1, q)):
-            return False
-    return True
-
-
 def minimize_neighborhood(rule: LocalRule) -> LocalRule:
     """Drop every offset the table does not depend on.
 
-    The result computes the same local function; repeated application is a
-    fixed point after one pass.
+    An offset is dropped when every slice of the axis view along its axis
+    equals the first.  The result computes the same local function;
+    repeated application is a fixed point after one pass.
     """
-    keep = [j for j in range(rule.arity) if not _is_dummy(rule, j)]
-    if len(keep) == rule.arity:
+    q, k = rule.q, rule.arity
+    axes = rule.array.reshape((q,) * k)
+    keep = [j for j in range(k) if np.count_nonzero(axes != axes[(slice(None),) * j + (slice(0, 1),)])]
+    if len(keep) == k:
         return rule
-    q = rule.q
     offsets = tuple(rule.neighborhood.offsets[j] for j in keep)
-    weights = [q ** (rule.arity - 1 - j) for j in keep]
-    table = []
-    for local in itertools.product(range(q), repeat=len(keep)):
-        full = sum(s * w for s, w in zip(local, weights))
-        table.append(rule.table[full])
-    return LocalRule(rule.alphabet, Neighborhood(rule.neighborhood.dimension, offsets), tuple(table))
+    table = axes[tuple(slice(None) if j in keep else 0 for j in range(k))]
+    return LocalRule(rule.alphabet, Neighborhood(rule.neighborhood.dimension, offsets), table)
 
 
 def with_neighborhood(rule: LocalRule, neighborhood: Neighborhood) -> LocalRule:
     """Re-express the rule over a superset neighborhood; new offsets are dummy.
 
     Entry i of the result reads digit j of i, first digit most significant,
-    at the target's j-th offset.  The rule itself is returned when the
-    target is its own neighborhood.
+    at the target's j-th offset.  Both neighborhoods are sorted, so the
+    rule's axes keep their order among the target's, and the result is the
+    axis view broadcast along the new axes.  The rule itself is returned
+    when the target is its own neighborhood.
     """
     if neighborhood == rule.neighborhood:
         return rule
     if neighborhood.dimension != rule.neighborhood.dimension:
         raise ValueError("dimensions differ")
-    q, k = rule.q, len(neighborhood)
-    weights = np.zeros(k, dtype=np.int64)
-    for j, n in enumerate(rule.neighborhood.offsets):
-        if n not in neighborhood:
-            raise ValueError(f"offset {n} missing from target neighborhood")
-        weights[neighborhood.offsets.index(n)] = q ** (rule.arity - 1 - j)
-    digits = np.arange(q**k)[:, None] // q ** np.arange(k - 1, -1, -1) % q
-    return LocalRule(rule.alphabet, neighborhood, tuple(rule.table_array[digits @ weights].tolist()))
+    if missing := [n for n in rule.neighborhood if n not in neighborhood]:
+        raise ValueError(f"offset {missing[0]} missing from target neighborhood")
+    q = rule.q
+    shape = [q if n in rule.neighborhood else 1 for n in neighborhood]
+    return LocalRule(rule.alphabet, neighborhood, np.broadcast_to(rule.array.reshape(shape), (q,) * len(shape)))

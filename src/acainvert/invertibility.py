@@ -391,8 +391,8 @@ def check_inverse_purely(
     zero = index[origin]
     weights = q ** np.arange(len(tw.cells) - 1, -1, -1, dtype=np.int64)
     plans = [_SetPlan.build([index[c] for c in active], sums, zero, weights) for active in tw.active_family]
-    tab_c = with_neighborhood(C, reach).table_array
-    tab_g = with_neighborhood(G, reach).table_array
+    tab_c = with_neighborhood(C, reach).array
+    tab_g = with_neighborhood(G, reach).array
     directions = ((CLAUSE_PURELY_FORWARD, tab_c, tab_g), (CLAUSE_PURELY_BACKWARD, tab_g, tab_c))
     for clause, tab1, tab2 in directions:
         flips = _flip_table(tab1, q, len(reach), zero)

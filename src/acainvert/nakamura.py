@@ -110,36 +110,38 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
 
     size = alphabet.size
     total = size**arity
-    weights = size ** np.arange(arity - 1, -1, -1, dtype=np.int64)
-    dtab, gtab = delta.table_array, gamma.table_array
-    forward_table: list[int] = []
-    backward_table: list[int] = []
+    # the base tables' axis views, widened: a bar code reaches 3q^2 - 1,
+    # which wraps in the tables' narrow dtype
+    dtab = delta.array.astype(np.intp).reshape((q,) * arity)
+    gtab = gamma.array.astype(np.intp).reshape((q,) * arity)
+    forward_table = np.empty(total, dtype=np.min_scalar_type(size - 1))
+    backward_table = np.empty_like(forward_table)
     for lo in range(0, total, _TABLE_BLOCK):
+        block = slice(lo, lo + _TABLE_BLOCK)
         # the bar code at every position of each local configuration in this
         # block, one row per position, configurations in table order
-        codes = np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64) // weights[:, None] % size
+        codes = np.array(np.unravel_index(np.arange(lo, min(lo + _TABLE_BLOCK, total)), (size,) * arity))
         curr, rest = np.divmod(codes, 3 * q)
         old, stamp = np.divmod(rest, 3)
         t0 = stamp[center]
         ahead = (t0 == (stamp + 1) % 3).any(axis=0)
         behind = (stamp == (t0 + 1) % 3).any(axis=0)
         same = stamp == t0
-        # table indices of the base-rule views: the current view reads a
-        # neighbor a tick ahead of the center by its old state, the previous
-        # view one a tick behind by its curr.  Each is used only where no
-        # neighbor lags (now) or leads (before) the center, where it is
-        # defined; local_index reads one row per position
-        now = delta.local_index(np.where(same, curr, old))
-        before = delta.local_index(np.where(same, old, curr))
+        stay = codes[center]  # where the center cannot move, it keeps its code
+        # the base-rule views, one index row per position: the current view
+        # reads a neighbor a tick ahead of the center by its old state, the
+        # previous view one a tick behind by its curr.  Each is used only
+        # where no neighbor lags (now) or leads (before) the center, where
+        # it is defined
+        now = tuple(np.where(same, curr, old))
+        before = tuple(np.where(same, old, curr))
         advance = ~ahead & (old[center] == gtab[now])
         retreat = ~behind & (curr[center] == dtab[before])
-        forward = np.where(advance, dtab[now] * 3 * q + curr[center] * 3 + (t0 + 1) % 3, codes[center])
-        backward = np.where(retreat, old[center] * 3 * q + gtab[before] * 3 + (t0 - 1) % 3, codes[center])
-        forward_table += forward.tolist()
-        backward_table += backward.tolist()
+        forward_table[block] = np.where(advance, dtab[now] * 3 * q + curr[center] * 3 + (t0 + 1) % 3, stay)
+        backward_table[block] = np.where(retreat, old[center] * 3 * q + gtab[before] * 3 + (t0 - 1) % 3, stay)
     return BarRulePair(
-        forward=LocalRule(alphabet, shared, tuple(forward_table)),
-        backward=LocalRule(alphabet, shared, tuple(backward_table)),
+        forward=LocalRule(alphabet, shared, forward_table),
+        backward=LocalRule(alphabet, shared, backward_table),
         base_alphabet=C.alphabet,
         neighborhood=shared,
     )

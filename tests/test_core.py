@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +98,114 @@ class TestLocalRule:
     def test_table_error_names_first_bad_value(self, table, bad):
         with pytest.raises(ValueError, match=rf"^table value {bad} outside alphabet of size 2$"):
             rule_of(table, -1, 1)
+
+    @pytest.mark.parametrize(
+        "table",
+        [(0.9, 1.2), [0.0, 1.0], (0, 1.0), ("0", "1"), "01", (True, False), np.array([0.0, 1.0]),
+         np.array([True, False]), (0, None)],
+        ids=["floats", "float-list", "int-and-float", "str-tuple", "str", "bools", "float-array", "bool-array",
+             "none"],
+    )
+    def test_non_integer_table_refused(self, table):
+        with pytest.raises(ValueError, match=r"^table value .+ is not an integer$"):
+            LocalRule(Alphabet(2), Neighborhood.line(0), table)
+
+    @pytest.mark.parametrize(
+        "table, bad",
+        [((0, 2**70), 2**70), ((2**64, 5), 2**64), ((1, -(2**70)), -(2**70)), ((-1, 2**63), -1),
+         (np.array([1, 300], dtype=np.int16), 300), (np.array([0, -1], dtype=np.int8), -1),
+         (np.array([2**64 - 1, 0], dtype=np.uint64), 2**64 - 1)],
+        ids=["2^70", "2^64", "-2^70", "-1-before-2^63", "int16", "int8", "uint64"],
+    )
+    def test_table_error_names_first_bad_value_of_any_width(self, table, bad):
+        with pytest.raises(ValueError, match=rf"^table value {bad} outside alphabet of size 2$"):
+            LocalRule(Alphabet(2), Neighborhood.line(0), table)
+
+
+def test_range_check_of_integer_arrays():
+    """An integer array of any width is accepted exactly when every entry
+    is a state; otherwise its first entry that is not one is named.  The
+    sizes q sit on both sides of the signed and unsigned 8-bit bounds."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64):
+        info = np.iinfo(dtype)
+        for q in (1, 2, 127, 128, 129, 200, 255, 256, 257, 300):
+            states = [s % (int(info.max) + 1) for s in range(q)]
+            rule = LocalRule(Alphabet(q), Neighborhood.line(0), np.array(states, dtype=dtype))
+            assert rule.table == tuple(states), (dtype, q)
+            for bad in {int(info.min), -1, -100, q, int(info.max)}:
+                if 0 <= bad < q or not info.min <= bad <= info.max:
+                    continue
+                values = states[: q // 2] + [bad] + states[q // 2 + 1 :]
+                with pytest.raises(ValueError, match=rf"^table value {bad} outside alphabet of size {q}$"):
+                    LocalRule(Alphabet(q), Neighborhood.line(0), np.array(values, dtype=dtype))
+
+
+class TestLocalRuleValue:
+    """A rule is a value: its table is stored once, read-only, and the
+    form it was given in does not matter."""
+
+    TABLE = (0, 1, 1, 0, 1, 1, 1, 0)  # rule 110
+
+    def forms(self):
+        return [self.TABLE, list(self.TABLE), np.array(self.TABLE, dtype=np.int64)]
+
+    def test_forms_are_equal_and_hash_equal(self):
+        rules = [LocalRule(Alphabet(2), ECA_NEIGHBORHOOD, t) for t in self.forms()]
+        assert all(r == rules[0] and hash(r) == hash(rules[0]) for r in rules)
+        assert rules[0] == eca_from_wolfram(110)
+        assert len({*rules, eca_from_wolfram(110)}) == 1
+
+    def test_repr_is_the_dataclass_repr_of_the_int_table(self):
+        want = (
+            "LocalRule(alphabet=Alphabet(size=2), neighborhood=Neighborhood(dimension=1, "
+            "offsets=((-1,), (0,), (1,))), table=(0, 1, 1, 0, 1, 1, 1, 0))"
+        )
+        for table in self.forms():
+            rule = LocalRule(Alphabet(2), ECA_NEIGHBORHOOD, table)
+            assert repr(rule) == want
+            assert all(type(v) is int for v in rule.table)
+
+    def test_unequal_when_alphabet_or_neighborhood_differs(self):
+        rule = eca_from_wolfram(110)
+        assert rule != LocalRule(Alphabet(3), ECA_NEIGHBORHOOD, self.TABLE[:1] * 27)
+        assert rule != LocalRule(Alphabet(2), Neighborhood.line(-1, 0, 2), self.TABLE)
+        assert rule != LocalRule(Alphabet(2), ECA_NEIGHBORHOOD, (1,) + self.TABLE[1:])
+
+    def test_array_is_read_only(self):
+        rule = eca_from_wolfram(110)
+        with pytest.raises(ValueError):
+            rule.array[0] = 1
+        with pytest.raises(ValueError):
+            rule.array.reshape((2, 2, 2))[0, 0, 0] = 1
+        assert rule.table == self.TABLE
+
+    def test_copies_and_pickles_are_read_only_equal_values(self):
+        rule = eca_from_wolfram(110)
+        for other in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule), copy.copy(rule)):
+            assert other == rule and hash(other) == hash(rule) and repr(other) == repr(rule)
+            with pytest.raises(ValueError):
+                other.array[0] = 1
+
+    def test_caller_array_is_copied(self):
+        table = np.array(self.TABLE, dtype=np.uint8)
+        rule = LocalRule(Alphabet(2), ECA_NEIGHBORHOOD, table)
+        table[:] = 1
+        assert rule.table == self.TABLE
+        assert rule.array.tolist() == list(self.TABLE)
+
+    @pytest.mark.parametrize("q, dtype", [(1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16),
+                                          (70000, np.uint32)])
+    def test_array_is_the_smallest_unsigned_dtype(self, q, dtype):
+        rule = LocalRule(Alphabet(q), Neighborhood.line(0), range(q))
+        assert rule.array.dtype == dtype
+        assert rule.array.shape == (q,)
+        assert rule.table == tuple(range(q))
+
+    def test_axis_view_is_mixed_radix(self):
+        rule = rule_of([0, 1, 2, 0, 1, 2, 2, 2, 0], -1, 1, q=3)
+        axes = rule.array.reshape((3, 3))
+        for local in rule.all_locals():
+            assert axes[local] == rule.apply_local(local)
 
 
 class TestWolframCodec:
@@ -270,6 +381,47 @@ class TestWithNeighborhood:
         rule = eca_from_wolfram(110)
         with pytest.raises(ValueError):
             with_neighborhood(rule, Neighborhood.line(0, 1))
+
+
+@st.composite
+def rules_within(draw, span=(-2, 2)):
+    """A rule with q <= 3 on at most three offsets in ``span``."""
+    q = draw(st.integers(1, 3))
+    offsets = draw(st.lists(st.integers(*span), unique=True, max_size=3))
+    table = draw(st.lists(st.integers(0, q - 1), min_size=q ** len(offsets), max_size=q ** len(offsets)))
+    return LocalRule(Alphabet(q), Neighborhood.line(*offsets), table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule=rules_within(), extra=st.lists(st.integers(-3, 3), unique=True, max_size=2))
+def test_with_neighborhood_matches_per_entry_loop(rule, extra):
+    """Each entry of the widened table reads the rule at its own offsets."""
+    target = rule.neighborhood.union(Neighborhood.line(*extra))
+    wide = with_neighborhood(rule, target)
+    where = [target.offsets.index(o) for o in rule.neighborhood.offsets]
+    for i, local in enumerate(itertools.product(range(rule.q), repeat=len(target))):
+        assert wide.table[i] == rule.table[rule.local_index([local[j] for j in where])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule=rules_within())
+def test_minimize_matches_per_entry_loop(rule):
+    """An offset is kept exactly when two local configurations that differ
+    only there map to different states, and the kept offsets compute the
+    same function."""
+    q, offsets = rule.q, rule.neighborhood.offsets
+    needed = set()
+    for local in rule.all_locals():
+        for j in range(len(offsets)):
+            for v in range(q):
+                other = local[:j] + (v,) + local[j + 1 :]
+                if rule.apply_local(other) != rule.apply_local(local):
+                    needed.add(offsets[j])
+    mini = minimize_neighborhood(rule)
+    assert set(mini.neighborhood.offsets) == needed
+    where = [offsets.index(o) for o in mini.neighborhood.offsets]
+    for local in rule.all_locals():
+        assert mini.apply_local([local[j] for j in where]) == rule.apply_local(local)
 
 
 class TestLocalConfig:

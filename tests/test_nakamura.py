@@ -17,7 +17,7 @@ from acainvert import (
     with_neighborhood,
 )
 from acainvert.errors import AlphabetMismatchError, NeighborhoodMismatchError
-from acainvert.invertibility import Verdict
+from acainvert.invertibility import Verdict, check_inverse_purely
 from acainvert.rulefmt import dump_rule
 from acainvert.nakamura import (
     BarState,
@@ -250,6 +250,23 @@ def test_tables_match_naive_oracle(index):
     assert offsets == tuple(o[0] for o in pair.neighborhood.offsets)
     assert pair.forward.table == forward
     assert pair.backward.table == backward
+
+
+@pytest.mark.parametrize("q", [10, 16])
+def test_bar_pairs_wider_than_uint8(q):
+    """The shift pair x + 1, x - 1 (mod q) on N = (0,): its bar alphabets
+    have 300 and 768 states, so bar codes computed from base table entries
+    overflow the base tables' uint8 dtype unless widened first."""
+    shift = LocalRule(Alphabet(q), Neighborhood.line(0), [(x + 1) % q for x in range(q)])
+    unshift = LocalRule(Alphabet(q), Neighborhood.line(0), [(x - 1) % q for x in range(q)])
+    pair = build_bar_pair(shift, unshift)
+    assert pair.forward.q == 3 * q * q
+    offsets, forward, backward = naive_bar_tables(q, *_plain(shift), *_plain(unshift))
+    assert offsets == (0,)
+    assert pair.forward.table == forward
+    assert pair.backward.table == backward
+    assert check_inverse_purely(pair.forward, pair.backward).verdict is Verdict.INVERTIBLE
+    assert check_inverse_purely(pair.backward, pair.forward).verdict is Verdict.INVERTIBLE
 
 
 @pytest.mark.parametrize("index", range(len(BAR_TABLE_DIGESTS)))

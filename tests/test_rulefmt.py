@@ -37,6 +37,22 @@ def test_rule_dict_round_trip(n):
     assert rule_from_dict(rule_to_dict(rule)) == rule
 
 
+@st.composite
+def small_rules(draw):
+    q = draw(st.integers(1, 4))
+    offsets = draw(st.lists(st.integers(-2, 2), unique=True, max_size=3))
+    table = draw(st.lists(st.integers(0, q - 1), min_size=q ** len(offsets), max_size=q ** len(offsets)))
+    return LocalRule(Alphabet(q), Neighborhood.line(*offsets), table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rule=small_rules())
+def test_drawn_rule_dict_round_trip(rule):
+    doc = rule_to_dict(rule)
+    assert rule_from_dict(json.loads(json.dumps(doc))) == rule
+    assert doc["table"] == list(rule.array.tolist())
+
+
 def test_wolfram_shorthand():
     assert rule_from_dict({"wolfram": 110}) == eca_from_wolfram(110)
 
