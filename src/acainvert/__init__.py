@@ -35,8 +35,6 @@ from .invertibility import (
     DecisionReport,
     DerivationConflict,
     EnumerationStats,
-    FullyTestWindow,
-    PurelyTestWindow,
     TwoPredecessorWitness,
     Verdict,
     Witness,

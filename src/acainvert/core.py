@@ -36,7 +36,6 @@ __all__ = [
     "LocalRule",
     "WindowConfig",
     "ECA_NEIGHBORHOOD",
-    "add_cells",
     "local_config",
     "step",
     "difference",
@@ -111,9 +110,6 @@ class Neighborhood:
     def origin(self) -> Cell:
         return (0,) * self.dimension
 
-    def pairwise_sums(self) -> frozenset[Cell]:
-        return frozenset(add_cells(m, n) for m in self.offsets for n in self.offsets)
-
     def symmetrized_with_origin(self) -> "Neighborhood":
         """The smallest superset closed under negation and containing 0."""
         cells = {self.origin}
@@ -126,12 +122,6 @@ class Neighborhood:
         if self.dimension != other.dimension:
             raise ValueError("cannot union neighborhoods of different dimensions")
         return Neighborhood(self.dimension, tuple(sorted(set(self.offsets) | set(other.offsets))))
-
-    def max_abs_1d(self) -> int | None:
-        """Largest absolute offset coordinate, or None for the empty neighborhood."""
-        if not self.offsets:
-            return None
-        return max(abs(n[0]) for n in self.offsets)
 
 
 ECA_NEIGHBORHOOD = Neighborhood(1, ((-1,), (0,), (1,)))

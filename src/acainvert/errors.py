@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CaError", "OutOfDomainError", "DomainMismatchError", "OutOfRangeError", "NotElementaryError",
+    "NotOneDimensionalError", "LatticeTooSmallError", "NeighborhoodMismatchError", "AlphabetMismatchError",
+    "CenterNotInNeighborhoodError", "ResourceCapExceededError", "RuleFormatError",
+]
+
 
 class CaError(Exception):
     """Base class for all errors raised by this package."""

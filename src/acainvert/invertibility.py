@@ -1,7 +1,13 @@
 """Finite-window decision procedures for phase-space invertibility.
 
 A rule pair (C, G) is checked over a finite test window T whose shape
-depends on the update scheme.  Window assignments ``Q^T`` are ordered as
+depends on the update scheme; each check builds its own.  With
+M = N ∪ {0}, the purely window is T = M + M = {0} ∪ N ∪ (N+N), tested at
+every activation set 0 ∈ D ⊆ M, ordered by the indicator vector of M's
+non-origin offsets (first offset most significant), so {0} comes first.
+The fully window (d = 1) is the interval {0} ∪ N ∪ A ∪ (A+N) around the
+candidate cells A = {-q^(2m+1), ..., q^(2m+1)}, m = max |n| over N (A is
+{0} when N is empty).  Window assignments ``Q^T`` are ordered as
 mixed-radix integers with the lexicographically first cell as the most
 significant digit, so integer order equals lexicographic window order and
 the least violation is well defined.
@@ -69,8 +75,6 @@ __all__ = [
     "Witness",
     "EnumerationStats",
     "DecisionReport",
-    "PurelyTestWindow",
-    "FullyTestWindow",
     "DerivationConflict",
     "TwoPredecessorWitness",
     "check_inverse_purely",
@@ -144,74 +148,6 @@ class DecisionReport:
                 "millis": int(round(self.stats.millis)) if timings else 0,
             },
         }
-
-
-@dataclass(frozen=True)
-class PurelyTestWindow:
-    """Test window for the purely asynchronous scheme.
-
-    ``cells`` is {0} ∪ N ∪ (N+N); ``active_family`` holds every D with
-    0 ∈ D ⊆ {0} ∪ N, ordered by the indicator vector of the non-origin
-    offsets (most significant first), so {0} comes first.
-    """
-
-    cells: tuple[Cell, ...]
-    active_family: tuple[tuple[Cell, ...], ...]
-
-    @classmethod
-    def build(cls, neighborhood: Neighborhood) -> "PurelyTestWindow":
-        origin = neighborhood.origin
-        cells = {origin} | set(neighborhood.offsets) | set(neighborhood.pairwise_sums())
-        others = sorted(set(neighborhood.offsets) - {origin})
-        family = []
-        for mask in range(1 << len(others)):
-            active = [origin]
-            for i, cell in enumerate(others):
-                if (mask >> (len(others) - 1 - i)) & 1:
-                    active.append(cell)
-            family.append(tuple(sorted(active)))
-        return cls(cells=tuple(sorted(cells)), active_family=tuple(family))
-
-
-@dataclass(frozen=True)
-class FullyTestWindow:
-    """Test window for the fully asynchronous scheme in one dimension.
-
-    ``max_distance`` is max |n| over the neighborhood (None for the empty
-    neighborhood), ``candidates`` the active-cell search interval
-    {-q^(2m+1), ..., q^(2m+1)} (just {0} when the neighborhood is empty),
-    and ``cells`` the window {0} ∪ N ∪ A ∪ (A+N).
-    """
-
-    max_distance: int | None
-    candidates: tuple[int, ...]
-    cells: tuple[Cell, ...]
-
-    @classmethod
-    def build(cls, q: int, neighborhood: Neighborhood, cap: int | None = None) -> "FullyTestWindow":
-        if neighborhood.dimension != 1:
-            raise NotOneDimensionalError("fully asynchronous test windows are one-dimensional")
-        m = neighborhood.max_abs_1d()
-        if m is None:
-            return cls(max_distance=None, candidates=(0,), cells=((0,),))
-        if cap is not None and q >= 2 and 2 * m + 1 > cap.bit_length():
-            # the window spans more than 2^(2m+1) > 2m+1 cells, so it fails the
-            # test below; this refuses before building a q^(2m+1) integer
-            raise ResourceCapExceededError(
-                f"fully test window has more than {q}^{2 * m + 1} cells, so {q}^cells exceeds cap {cap}"
-            )
-        reach = q ** (2 * m + 1)
-        offs = [n[0] for n in neighborhood.offsets]
-        lo = -reach + min(0, min(offs))
-        hi = reach + max(0, max(offs))
-        size = hi - lo + 1
-        if cap is not None and q >= 2 and (size > cap.bit_length() or q**size > cap):
-            raise ResourceCapExceededError(
-                f"fully test window has {size} cells, {q}^{size} exceeds cap {cap}"
-            )
-        candidates = tuple(range(-reach, reach + 1))
-        cells = tuple((i,) for i in range(lo, hi + 1))
-        return cls(max_distance=m, candidates=candidates, cells=cells)
 
 
 def _report(
@@ -366,47 +302,57 @@ def check_inverse_purely(
 
     Verdict is invertible iff, over the finite window, every simultaneous
     update by one rule at an admissible active set is undone by the other
-    rule at the same set, in both directions.  The clause for a set D
-    reads only S = D ∪ (D+N), so its least violating window is the least
-    violating assignment to S with zeros elsewhere; ``_purely_sweep``
-    finds it per D, growing rows only by digits that flip, and skips every
-    window that cannot beat the least (window, D) found so far.  The
-    backward direction runs only when the forward one holds, as a forward
-    witness is reported first.  ``stats.windows`` counts the q^|T| logical
-    windows; ``workers`` is accepted and not used.
+    rule at the same set, in both directions.  With M = N ∪ {0}, the test
+    window is T = M + M = {0} ∪ N ∪ (N+N), and the admissible sets are
+    every D with 0 ∈ D ⊆ M, taken in the order of the indicator vector of
+    M's non-origin offsets, first offset most significant, so {0} comes
+    first and M last; a tie on the least window goes to the earlier set.
+    The clause for a set D reads only S = D ∪ (D+N), so its least
+    violating window is the least violating assignment to S with zeros
+    elsewhere; ``_purely_sweep`` finds it per D, growing rows only by
+    digits that flip, and skips every window that cannot beat the least
+    (window, D) found so far.  The backward direction runs only when the
+    forward one holds, as a forward witness is reported first.
+    ``stats.windows`` counts the q^|T| logical windows; ``workers`` is
+    accepted and not used.
     """
     t0 = time.perf_counter()
     _require_pair(C, G)
-    tw = PurelyTestWindow.build(C.neighborhood)
     q = C.q
-    windows = q ** len(tw.cells)
+    origin = C.neighborhood.origin
+    reach = Neighborhood(C.neighborhood.dimension, tuple({origin, *C.neighborhood.offsets}))  # M = N ∪ {0}
+    cells = tuple(sorted({add_cells(a, b) for a in reach for b in reach}))  # T = M + M
+    windows = q ** len(cells)
     if windows > min(cap, _INDEX_LIMIT):
         bound = f"cap is {cap}" if cap <= _INDEX_LIMIT else f"the int64 index limit is {_INDEX_LIMIT}"
         raise ResourceCapExceededError(f"purely test window needs {windows} window assignments, {bound}")
-    origin = C.neighborhood.origin
-    reach = Neighborhood(C.neighborhood.dimension, tuple({origin, *C.neighborhood.offsets}))  # M = N ∪ {0}
+    # every D with 0 ∈ D ⊆ M, by the indicator vector of M's other offsets
+    family = [
+        tuple(itertools.compress(reach, picks))
+        for picks in itertools.product(*[(1,) if cell == origin else (0, 1) for cell in reach])
+    ]
     index = {cell: i for i, cell in enumerate(reach)}
-    position = {cell: x for x, cell in enumerate(tw.cells)}
+    position = {cell: x for x, cell in enumerate(cells)}
     sums = [[position[add_cells(a, b)] for b in reach] for a in reach]
     zero = index[origin]
-    weights = q ** np.arange(len(tw.cells) - 1, -1, -1, dtype=np.int64)
-    plans = [_SetPlan.build([index[c] for c in active], sums, zero, weights) for active in tw.active_family]
+    weights = q ** np.arange(len(cells) - 1, -1, -1, dtype=np.int64)
+    plans = [_SetPlan.build([index[c] for c in active], sums, zero, weights) for active in family]
     tab_c = with_neighborhood(C, reach).array
     tab_g = with_neighborhood(G, reach).array
     directions = ((CLAUSE_PURELY_FORWARD, tab_c, tab_g), (CLAUSE_PURELY_BACKWARD, tab_g, tab_c))
     for clause, tab1, tab2 in directions:
         flips = _flip_table(tab1, q, len(reach), zero)
         best = None
-        for active, plan in zip(tw.active_family, plans):
+        for active, plan in zip(family, plans):
             row = _purely_sweep(q, plan, flips, tab2, None if best is None else best[0])
             if row is not None:
                 best = (int(row @ plan.weights), active, plan, row)
         if best is not None:
             _, active, plan, row = best
-            states = [0] * len(tw.cells)
+            states = [0] * len(cells)
             for x, state in zip(plan.positions, row.tolist()):
                 states[x] = state
-            witness = Witness(WindowConfig(tw.cells, tuple(states)), active, clause)
+            witness = Witness(WindowConfig(cells, tuple(states)), active, clause)
             return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
     return _report(t0, windows, Verdict.INVERTIBLE, G)
 
@@ -454,10 +400,13 @@ def check_inverse_fully_1d(
     Four clauses over every window w of the test cells: a flip at 0 by
     either rule is undone by the other at 0 (eq1-forward / eq1-backward),
     and a window fixed at 0 by either rule is fixed at some candidate cell
-    by the other (eq2-delta / eq2-gamma).  The first violated clause, in
-    that order, is reported with its least window.  A clause constrains
-    the block of k = span(N ∪ {0}) cells around each candidate (eq1 only
-    the one around 0), so ``_least_path`` decides it in O(|T|·q^k) steps.
+    by the other (eq2-delta / eq2-gamma).  With m = max |n| over N, the
+    candidate cells are A = {-q^(2m+1), ..., q^(2m+1)} (just {0} when N is
+    empty), and the test window is the interval of cells
+    {0} ∪ N ∪ A ∪ (A+N).  The first violated clause, in that order, is
+    reported with its least window.  A clause constrains the block of
+    k = span(N ∪ {0}) cells around each candidate (eq1 only the one
+    around 0), so ``_least_path`` decides it in O(|T|·q^k) steps.
     Both rules are read widened to the block min(N ∪ {0}) .. max(N ∪ {0}),
     so a block's table index is its own mixed-radix value.
     ``stats.windows`` counts q^|T| logical windows per clause pair.
@@ -466,35 +415,50 @@ def check_inverse_fully_1d(
     if C.neighborhood.dimension != 1:
         raise NotOneDimensionalError("fully asynchronous check requires one dimension")
     _require_pair(C, G)
-    tw = FullyTestWindow.build(C.q, C.neighborhood, cap=cap)
     q = C.q
-    k = len(tw.cells) - len(tw.candidates) + 1  # span of N ∪ {0}
-    left = tw.cells[0][0] - tw.candidates[0]  # min(N ∪ {0})
-    origin = tw.candidates.index(0)  # the block of candidate 0 starts at this cell
-    block = Neighborhood.line(*range(left, left + k))
+    offsets = [n[0] for n in C.neighborhood.offsets]
+    left, right = min([0, *offsets]), max([0, *offsets])  # the block N ∪ {0}
+    reach = 0  # candidates run from -reach to reach
+    if offsets:
+        m = max(-left, right)
+        if q >= 2 and 2 * m + 1 > cap.bit_length():
+            # the window spans more than 2^(2m+1) > 2m+1 cells, so it fails the
+            # test below; this refuses before building a q^(2m+1) integer
+            raise ResourceCapExceededError(
+                f"fully test window has more than {q}^{2 * m + 1} cells, so {q}^cells exceeds cap {cap}"
+            )
+        reach = q ** (2 * m + 1)
+        size = right - left + 1 + 2 * reach
+        if q >= 2 and (size > cap.bit_length() or q**size > cap):
+            raise ResourceCapExceededError(f"fully test window has {size} cells, {q}^{size} exceeds cap {cap}")
+    cells = tuple((i,) for i in range(left - reach, right + reach + 1))
+    k = right - left + 1
+    block = Neighborhood.line(*range(left, right + 1))
     wide_c, wide_g = with_neighborhood(C, block), with_neighborhood(G, block)
-    center_weight = q ** (k - 1 + left)
+    center_weight = q**right
     center = [b // center_weight % q for b in range(q**k)]
-    windows = q ** len(tw.cells)
+    windows = q ** len(cells)
 
     pairs = ((wide_c.table, wide_g.table), (wide_g.table, wide_c.table))
     for clause, (tab1, tab2) in zip((CLAUSE_EQ1_FORWARD, CLAUSE_EQ1_BACKWARD), pairs):
         for b, c in enumerate(center):
             if tab1[b] != c and tab2[b + (tab1[b] - c) * center_weight] != c:
-                # only the block around 0 matters; zeros elsewhere give the least window
-                states = [0] * len(tw.cells)
-                states[origin : origin + k] = wide_c.decode_index(b)
-                witness = Witness(WindowConfig(tw.cells, tuple(states)), ((0,),), clause)
+                # only the block around 0 (window positions reach .. reach + k - 1)
+                # matters; zeros elsewhere give the least window
+                states = [0] * len(cells)
+                states[reach : reach + k] = wide_c.decode_index(b)
+                witness = Witness(WindowConfig(cells, tuple(states)), ((0,),), clause)
                 return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
 
     windows *= 2
     for clause, (tab1, tab2) in zip((CLAUSE_EQ2_DELTA, CLAUSE_EQ2_GAMMA), pairs):
         unfixed = [t != c for t, c in zip(tab2, center)]
-        allowed = [unfixed] * len(tw.candidates)
-        allowed[origin] = [u and t == c for u, t, c in zip(unfixed, tab1, center)]
+        # one shared list, so _least_path sees a repeated step and can skip it
+        allowed = [unfixed] * (2 * reach + 1)
+        allowed[reach] = [u and t == c for u, t, c in zip(unfixed, tab1, center)]
         states = _least_path(q, k, allowed)
         if states is not None:
-            witness = Witness(WindowConfig(tw.cells, tuple(states)), ((0,),), clause)
+            witness = Witness(WindowConfig(cells, tuple(states)), ((0,),), clause)
             return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
     return _report(t0, windows, Verdict.INVERTIBLE, G)
 

@@ -24,7 +24,6 @@ __all__ = [
     "rule_from_dict",
     "load_rule",
     "dump_rule",
-    "window_to_dict",
 ]
 
 
@@ -33,7 +32,7 @@ def rule_to_dict(rule: LocalRule) -> dict[str, Any]:
         "dimension": rule.neighborhood.dimension,
         "alphabet": rule.alphabet.size,
         "neighborhood": [list(n) for n in rule.neighborhood.offsets],
-        "table": list(rule.table),
+        "table": rule.array.tolist(),
     }
 
 
@@ -91,8 +90,8 @@ def dump_rule(rule: LocalRule, path: str | Path, extra: dict[str, Any] | None = 
 
     json encodes an indented document item by item in Python, so the
     table, whose entries are integers, is rendered by json's C encoder
-    with the indented item separator and spliced into the rest; the bytes
-    are the same.  ``extra`` may not replace a rule field.
+    with the indented item separator and written between the rest; the
+    bytes are the same.  ``extra`` may not replace a rule field.
     """
     doc = rule_to_dict(rule)
     if extra:
@@ -103,10 +102,13 @@ def dump_rule(rule: LocalRule, path: str | Path, extra: dict[str, Any] | None = 
     # the only line that starts with exactly two spaces and "table" is the
     # top-level key: deeper keys are indented further, and JSON strings
     # hold no raw newline
-    head = json.dumps({**doc, "table": []}, indent=2)
-    items = json.dumps(doc["table"], separators=(",\n    ", ": "))
-    text = head.replace('\n  "table": []', '\n  "table": [\n    ' + items[1:-1] + "\n  ]", 1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    head, tail = json.dumps({**doc, "table": []}, indent=2).split('\n  "table": []', 1)
+    # popped, so the list is freed before the text is written
+    items = json.dumps(doc.pop("table"), separators=(",\n    ", ": "))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(head + '\n  "table": [\n    ')
+        f.write(items[1:-1])
+        f.write("\n  ]" + tail + "\n")
 
 
 def window_to_dict(window: WindowConfig) -> dict[str, Any]:

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import itertools
 import pickle
+import pkgutil
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acainvert
 from acainvert import (
     ECA_NEIGHBORHOOD,
     Alphabet,
@@ -60,10 +64,6 @@ class TestNeighborhood:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Neighborhood.line(0, 0)
-
-    def test_pairwise_sums(self):
-        n = Neighborhood.line(-1, 0, 1)
-        assert n.pairwise_sums() == frozenset({(-2,), (-1,), (0,), (1,), (2,)})
 
     def test_symmetrized_with_origin(self):
         assert Neighborhood.line(1).symmetrized_with_origin() == Neighborhood.line(-1, 0, 1)
@@ -434,3 +434,17 @@ class TestLocalConfig:
         w = WindowConfig.line((7, 8, 9), start=-1)
         with pytest.raises(OutOfDomainError):
             local_config(w, (1,), ECA_NEIGHBORHOOD)
+
+
+def test_package_exports_match_module_all():
+    """The package exports exactly the names its modules list in ``__all__``."""
+    listed = set()
+    for info in pkgutil.iter_modules(acainvert.__path__):
+        module = importlib.import_module(f"acainvert.{info.name}")
+        listed |= set(getattr(module, "__all__", ()))
+    exported = {
+        name for name, value in vars(acainvert).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(listed - exported) == []
+    assert sorted(exported - listed) == []

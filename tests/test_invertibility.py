@@ -28,8 +28,6 @@ from acainvert.errors import (
 )
 from acainvert.invertibility import (
     DerivationConflict,
-    FullyTestWindow,
-    PurelyTestWindow,
     Verdict,
     check_inverse_fully_1d,
     check_inverse_purely,
@@ -109,38 +107,46 @@ def replay_witness(C, G, report, candidates=None):
 
 
 class TestPurelyTestWindow:
+    """T = M + M with M = N ∪ {0}, read off the purely check's witnesses."""
+
     def test_eca_shape(self):
-        tw = PurelyTestWindow.build(ECA := eca_from_wolfram(110).neighborhood)
-        assert tw.cells == tuple((i,) for i in range(-2, 3))
-        assert tw.active_family == (
-            ((0,),),
-            ((0,), (1,)),
-            ((-1,), (0,)),
-            ((-1,), (0,), (1,)),
-        )
+        rep = check_inverse_purely(eca_from_wolfram(110), eca_from_wolfram(110))
+        assert rep.witness.window.cells == tuple((i,) for i in range(-2, 3))
 
     def test_origin_only(self):
-        tw = PurelyTestWindow.build(Neighborhood.line(0))
-        assert tw.cells == ((0,),)
-        assert tw.active_family == (((0,),),)
+        # a flip at 0 that the identity does not undo; {0} is the only set
+        rep = check_inverse_purely(rule_of([1, 0], 0), rule_of([0, 1], 0))
+        assert rep.witness.window.cells == ((0,),)
+        assert rep.witness.active == ((0,),)
+        assert rep.stats.windows == 2
+
+    def test_pairwise_sums(self):
+        # N = (0, 2): N + N = {0, 2, 4} has a gap, and only {0} and {0, 2} are tested
+        rep = check_inverse_purely(rule_of([1, 0, 1, 0], 0, 2), rule_of([0, 0, 1, 1], 0, 2))
+        assert rep.witness.window.cells == ((0,), (2,), (4,))
+        assert rep.witness.active == ((0,),)
+        assert rep.stats.windows == 2 ** 3
 
 
 class TestFullyTestWindow:
+    """The interval {0} ∪ N ∪ A ∪ (A+N), read off the fully check's witnesses."""
+
     def test_eca_shape(self):
-        tw = FullyTestWindow.build(2, eca_from_wolfram(110).neighborhood)
-        assert tw.max_distance == 1
-        assert tw.candidates == tuple(range(-8, 9))
-        assert tw.cells == tuple((i,) for i in range(-9, 10))
+        # A = -8..8 for q = 2, m = 1 (see TestCheckInverseFully.test_witness_replays)
+        rep = check_inverse_fully_1d(eca_from_wolfram(0), eca_from_wolfram(255))
+        assert rep.witness.window.cells == tuple((i,) for i in range(-9, 10))
+        assert rep.stats.windows == 2 * 2 ** 19  # eq2 counts both clause pairs
 
     def test_empty_neighborhood(self):
-        tw = FullyTestWindow.build(2, Neighborhood(1, ()))
-        assert tw.max_distance is None
-        assert tw.candidates == (0,)
-        assert tw.cells == ((0,),)
+        # constant 1 and constant 0: A = {0}, so the window is cell 0 alone
+        rep = check_inverse_fully_1d(rule_of([1]), rule_of([0]))
+        assert rep.witness.window.cells == ((0,),)
+        assert rep.witness.clause == "eq2-delta"
+        assert rep.stats.windows == 2 * 2 ** 1
 
     def test_cap_guard(self):
-        with pytest.raises(ResourceCapExceededError):
-            FullyTestWindow.build(2, eca_from_wolfram(110).neighborhood, cap=1 << 10)
+        with pytest.raises(ResourceCapExceededError, match="^fully test window has 19 cells, 2\\^19 exceeds cap 1024$"):
+            check_inverse_fully_1d(eca_from_wolfram(110), eca_from_wolfram(110), cap=1 << 10)
 
     @pytest.mark.parametrize("far", [8000, 10**6])
     def test_far_offset_exceeds_cap_without_a_huge_size(self, far):
@@ -200,8 +206,7 @@ class TestCheckInversePurely:
         offsets = [origin] + [tuple(s if i == j else 0 for i in range(4)) for j in range(4) for s in (-1, 1)]
         table = tuple(sum(local) % 3 for local in itertools.product(range(3), repeat=9))
         C = LocalRule(Alphabet(3), Neighborhood(4, tuple(offsets)), table)
-        assert len(PurelyTestWindow.build(C.neighborhood).cells) == 41
-        with pytest.raises(ResourceCapExceededError, match=f"index limit is {1 << 62}$"):
+        with pytest.raises(ResourceCapExceededError, match=f"needs {3 ** 41} window assignments, the int64 index limit is {1 << 62}$"):
             check_inverse_purely(C, C, cap=1 << 80)
         assert decide_purely(C, window_cap=1 << 80).verdict is Verdict.RESOURCE_CAP_EXCEEDED
 
@@ -238,8 +243,7 @@ class TestCheckInverseFully:
         assert rep.verdict is Verdict.NOT_INVERTIBLE
 
     def test_witness_replays(self):
-        tw = FullyTestWindow.build(2, eca_from_wolfram(0).neighborhood)
-        cand = [(a,) for a in tw.candidates]
+        cand = [(a,) for a in range(-8, 9)]
         for n, g in ((0, 255), (110, 110), (106, 106)):
             C, G = eca_from_wolfram(n), eca_from_wolfram(g)
             rep = check_inverse_fully_1d(C, G)
@@ -708,6 +712,49 @@ def test_purely_check_matches_naive_property(n, g):
     got = check_inverse_purely(eca_from_wolfram(n), eca_from_wolfram(g)).verdict
     want = naive_check_purely((-1, 0, 1), 2, eca_from_wolfram(n).table, eca_from_wolfram(g).table)
     assert (got is Verdict.INVERTIBLE) == want
+
+
+# large enough that every drawn rule decides under both schemes
+PROPERTY_CAP = 1 << 800
+
+
+@st.composite
+def small_rules(draw):
+    """q in {2, 3} on 1-3 offsets in [-2, 2]: a uniform table, or one that
+    permutes cell 0's state for each reading of the other cells."""
+    q = draw(st.sampled_from((2, 3)))
+    neighborhood = Neighborhood.line(*draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True)))
+    k = len(neighborhood)
+    if (0,) in neighborhood and draw(st.booleans()):
+        center = neighborhood.offsets.index((0,))
+        drawn = draw(st.lists(st.permutations(range(q)), min_size=q ** (k - 1), max_size=q ** (k - 1)))
+        perms = dict(zip(itertools.product(range(q), repeat=k - 1), drawn))
+        table = [
+            perms[local[:center] + local[center + 1 :]][local[center]]
+            for local in itertools.product(range(q), repeat=k)
+        ]
+    else:
+        table = draw(st.lists(st.integers(0, q - 1), min_size=q**k, max_size=q**k))
+    return LocalRule(Alphabet(q), neighborhood, tuple(table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=small_rules())
+def test_deciders_property(rule):
+    """Every negative witness replays on the pair the decider checked, and
+    every inverse passes the check in the opposite direction."""
+    mini = minimize_neighborhood(rule)
+    candidate = derive_candidate_inverse(mini)
+    offsets = [n[0] for n in mini.neighborhood.offsets]
+    reach = rule.q ** (2 * max(abs(o) for o in offsets) + 1) if offsets else 0
+    candidates = [(a,) for a in range(-reach, reach + 1)]
+    for decide, check in ((decide_purely, check_inverse_purely), (decide_fully_1d, check_inverse_fully_1d)):
+        rep = decide(rule, window_cap=PROPERTY_CAP)
+        if rep.verdict is Verdict.NOT_INVERTIBLE:
+            replay_witness(mini, candidate, rep, candidates=candidates)
+        else:
+            assert rep.verdict is Verdict.INVERTIBLE
+            assert check(rep.inverse, rule, cap=PROPERTY_CAP).verdict is Verdict.INVERTIBLE
 
 
 def mirrored(rule):

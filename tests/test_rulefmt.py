@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +152,15 @@ def test_dump_rule_writes_indented_json_bytes(tmp_path):
 def test_dump_rule_refuses_extra_that_replaces_a_rule_field(tmp_path):
     with pytest.raises(ValueError):
         dump_rule(eca_from_wolfram(110), tmp_path / "rule.json", extra={"table": [0]})
+
+
+def test_dump_rule_leaves_no_tuple_copy_of_the_table(tmp_path):
+    # the int tuple behind ``rule.table`` is cached on first read; writing
+    # a large bar table must not pin a second copy of it on the rule
+    rule = LocalRule(Alphabet(3), Neighborhood.line(-1, 0, 1), np.arange(27) % 3)
+    dump_rule(rule, tmp_path / "rule.json")
+    assert "table" not in vars(rule)
+    assert load_rule(tmp_path / "rule.json") == rule
 
 
 def test_load_wolfram_file(tmp_path):
