@@ -165,7 +165,8 @@ def _require_pair(C: LocalRule, G: LocalRule) -> None:
         raise NeighborhoodMismatchError("rules must share a neighborhood")
 
 
-# rows of a purely sweep extended at once; bounds its memory for any q^|T|
+# children a purely sweep makes from one block at once (or q, from one
+# row); bounds its memory for any q^|T|
 _SWEEP_BLOCK = 1 << 14
 
 
@@ -243,32 +244,48 @@ def _purely_sweep(q: int, plan: _SetPlan, flips, tab2, bound: int | None):
     column gets all q digits.  Children follow their parent, in digit
     order, so every block of rows stays lexicographically sorted.  Blocks
     wait on a stack, least on top, so the first violation found is the
-    least.
+    least.  A block is extended at once only while it makes at most
+    ``_SWEEP_BLOCK`` children (n·q of n rows at a column without a test,
+    the flip counts of their reads at a test column); a larger one is
+    split into runs of parents that each make at most that many, or one
+    parent, which makes at most q.  A run split at a test column keeps
+    its reads' flip-table rows, so they are not read again.
     """
     counts, ends, flip_digits, flip_states = flips
     m = len(plan.positions)
     dtype = np.min_scalar_type(q)
     digits = np.arange(q, dtype=dtype)
-    stack = [(0, np.zeros((1, m + len(plan.undo)), dtype=dtype))]
+    # (level, rows, the flip-table rows of their test's reads or None)
+    stack = [(0, np.zeros((1, m + len(plan.undo)), dtype=dtype), None)]
     while stack:
-        level, rows = stack.pop()
+        level, rows, prefix = stack.pop()
         n = len(rows)
-        if n > 1 and n * q > _SWEEP_BLOCK:
-            size = max(1, _SWEEP_BLOCK // q)
-            stack.extend((level, rows[lo : lo + size]) for lo in reversed(range(0, n, size)))
-            continue
         test = plan.tests[level]
         if test is None:
+            if n > 1 and n * q > _SWEEP_BLOCK:
+                size = max(1, _SWEEP_BLOCK // q)
+                stack.extend((level, rows[lo : lo + size], None) for lo in reversed(range(0, n, size)))
+                continue
             rows = rows.repeat(q, axis=0)
             # repeat returns a fresh C-ordered array, so this reshape is a view
             rows.reshape(n, q, -1)[:, :, level] = digits
         else:
             reads, out_col = test
-            prefix = _local_indices(rows, reads, q)
+            if prefix is None:
+                prefix = _local_indices(rows, reads, q)
             count = counts[prefix]
+            total = count.cumsum()
+            # n·q bounds the children, so a small block never reads their count
+            if n > 1 and n * q > _SWEEP_BLOCK and total[-1] > _SWEEP_BLOCK:
+                cuts = [0]
+                while cuts[-1] < n:
+                    made = total[cuts[-1] - 1] if cuts[-1] else 0
+                    cuts.append(max(cuts[-1] + 1, int(np.searchsorted(total, made + _SWEEP_BLOCK, "right"))))
+                stack.extend((level, rows[a:b], prefix[a:b]) for a, b in reversed(list(zip(cuts, cuts[1:]))))
+                continue
             rows = rows.repeat(count, axis=0)
             # child j of a parent takes flip entry ends[prefix] - count + j
-            slot = np.arange(len(rows)) + (ends[prefix] - count.cumsum()).repeat(count)
+            slot = np.arange(len(rows)) + (ends[prefix] - total).repeat(count)
             rows[:, level] = flip_digits[slot]
             rows[:, out_col] = flip_states[slot]
         if bound is not None:
@@ -280,7 +297,7 @@ def _purely_sweep(q: int, plan: _SetPlan, flips, tab2, bound: int | None):
         if not len(rows):
             continue
         if level + 1 < m:
-            stack.append((level + 1, rows))
+            stack.append((level + 1, rows, None))
             continue
         missed = False
         for col, reads in plan.undo:

@@ -16,6 +16,7 @@ Bar states are serialized through the fixed bijection
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -36,7 +37,7 @@ __all__ = [
     "verify_theorem1",
 ]
 
-# table entries computed at once by build_bar_pair; bounds its working memory
+# entries in one slab of build_bar_pair's tables; bounds its working memory
 _TABLE_BLOCK = 1 << 15
 
 
@@ -95,6 +96,13 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
     The shared neighborhood is the union of both inputs' offsets, closed
     under negation, with 0 adjoined; added offsets are dummies of the base
     rules.
+
+    A bar table has one axis per offset, indexed by the bar code read
+    there.  Curr, old and stamp are decoded once per bar code; laid along
+    each offset's own axis, they broadcast to everything the tables need.
+    The tables are filled in slabs that fix the leading axes, one index or
+    a run of them at a time, so that a slab holds at most
+    ``_TABLE_BLOCK`` entries.
     """
     if C.alphabet != G.alphabet:
         raise AlphabetMismatchError("bar construction needs a shared alphabet")
@@ -107,38 +115,54 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
     alphabet = bar_alphabet(q)
     center = shared.offsets.index(shared.origin)
     arity = len(shared)
-
     size = alphabet.size
-    total = size**arity
-    # the base tables' axis views, widened: a bar code reaches 3q^2 - 1,
-    # which wraps in the tables' narrow dtype
-    dtab = delta.array.astype(np.intp).reshape((q,) * arity)
-    gtab = gamma.array.astype(np.intp).reshape((q,) * arity)
-    forward_table = np.empty(total, dtype=np.min_scalar_type(size - 1))
+
+    # per bar code, in intp: a bar code reaches 3q^2 - 1, which wraps in
+    # the base tables' narrow dtype
+    code = np.arange(size)
+    curr, old, stamp = code // (3 * q), code // 3 % q, code % 3
+    later, earlier = (stamp + 1) % 3, (stamp - 1) % 3
+    # a moved center's fields other than the one the base rule fills
+    advanced, retreated = curr * 3 + later, old * (3 * q) + earlier
+    weights = q ** np.arange(arity - 1, -1, -1)
+    dtab = delta.array.astype(np.intp)
+    gtab = gamma.array.astype(np.intp)
+    # the base outputs placed in the curr (forward) or old (backward) field
+    dcurr, gold = dtab * (3 * q), gtab * 3
+    # a slab fixes the first ``lead`` axes and spans the ``rest``
+    lead = next(k for k in range(arity + 1) if size ** (arity - k) <= _TABLE_BLOCK)
+    rest = arity - lead
+    span = size**rest
+    run = max(1, _TABLE_BLOCK // span)
+    forward_table = np.empty(size**arity, dtype=np.min_scalar_type(size - 1))
     backward_table = np.empty_like(forward_table)
-    for lo in range(0, total, _TABLE_BLOCK):
-        block = slice(lo, lo + _TABLE_BLOCK)
-        # the bar code at every position of each local configuration in this
-        # block, one row per position, configurations in table order
-        codes = np.array(np.unravel_index(np.arange(lo, min(lo + _TABLE_BLOCK, total)), (size,) * arity))
-        curr, rest = np.divmod(codes, 3 * q)
-        old, stamp = np.divmod(rest, 3)
-        t0 = stamp[center]
-        ahead = (t0 == (stamp + 1) % 3).any(axis=0)
-        behind = (stamp == (t0 + 1) % 3).any(axis=0)
-        same = stamp == t0
-        stay = codes[center]  # where the center cannot move, it keeps its code
-        # the base-rule views, one index row per position: the current view
+    for lo in range(0, size**lead, run):
+        hi = min(lo + run, size**lead)
+        # the codes read at each offset: axis 0 runs over the slab's
+        # indices into the lead axes, and each later offset j has axis
+        # 1 + j - lead
+        prefix = np.arange(lo, hi)
+        axes = [(prefix // size ** (lead - 1 - j) % size).reshape((-1,) + (1,) * rest) for j in range(lead)]
+        axes += [code.reshape((1,) * (1 + i) + (-1,) + (1,) * (rest - 1 - i)) for i in range(rest)]
+        me = axes[center]
+        t0 = stamp[me]
+        # ahead: some neighbor is a tick behind the center; behind: one is a tick ahead
+        ahead = functools.reduce(np.logical_or, [later[a] == t0 for a in axes])
+        behind = functools.reduce(np.logical_or, [earlier[a] == t0 for a in axes])
+        # the base-rule views as flat base-table indices: the current view
         # reads a neighbor a tick ahead of the center by its old state, the
         # previous view one a tick behind by its curr.  Each is used only
         # where no neighbor lags (now) or leads (before) the center, where
         # it is defined
-        now = tuple(np.where(same, curr, old))
-        before = tuple(np.where(same, old, curr))
-        advance = ~ahead & (old[center] == gtab[now])
-        retreat = ~behind & (curr[center] == dtab[before])
-        forward_table[block] = np.where(advance, dtab[now] * 3 * q + curr[center] * 3 + (t0 + 1) % 3, stay)
-        backward_table[block] = np.where(retreat, old[center] * 3 * q + gtab[before] * 3 + (t0 - 1) % 3, stay)
+        same = [stamp[a] == t0 for a in axes]
+        now = sum(np.where(s, curr[a], old[a]) * w for s, a, w in zip(same, axes, weights))
+        before = sum(np.where(s, old[a], curr[a]) * w for s, a, w in zip(same, axes, weights))
+        advance = ~ahead & (old[me] == gtab[now])
+        retreat = ~behind & (curr[me] == dtab[before])
+        block = slice(lo * span, hi * span)
+        # where the center cannot move, it keeps its code
+        forward_table[block] = np.where(advance, dcurr[now] + advanced[me], me).ravel()
+        backward_table[block] = np.where(retreat, gold[before] + retreated[me], me).ravel()
     return BarRulePair(
         forward=LocalRule(alphabet, shared, forward_table),
         backward=LocalRule(alphabet, shared, backward_table),

@@ -16,6 +16,8 @@ import json
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .core import Alphabet, LocalRule, Neighborhood, WindowConfig, eca_from_wolfram
 from .errors import OutOfDomainError, RuleFormatError
 
@@ -26,14 +28,20 @@ __all__ = [
     "dump_rule",
 ]
 
+# table entries dump_rule renders at once; bounds its working memory
+_WRITE_BLOCK = 1 << 14
 
-def rule_to_dict(rule: LocalRule) -> dict[str, Any]:
+
+def _rule_fields(rule: LocalRule) -> dict[str, Any]:
     return {
         "dimension": rule.neighborhood.dimension,
         "alphabet": rule.alphabet.size,
         "neighborhood": [list(n) for n in rule.neighborhood.offsets],
-        "table": rule.array.tolist(),
     }
+
+
+def rule_to_dict(rule: LocalRule) -> dict[str, Any]:
+    return {**_rule_fields(rule), "table": rule.array.tolist()}
 
 
 def _integer(value: Any, what: str) -> int:
@@ -88,12 +96,16 @@ def dump_rule(rule: LocalRule, path: str | Path, extra: dict[str, Any] | None = 
     """Write the rule document, plus the fields of ``extra``, as
     ``json.dumps(doc, indent=2)`` and a newline.
 
-    json encodes an indented document item by item in Python, so the
-    table, whose entries are integers, is rendered by json's C encoder
-    with the indented item separator and written between the rest; the
-    bytes are the same.  ``extra`` may not replace a rule field.
+    json encodes an indented document item by item in Python, so only the
+    rest of the document goes through json, with an empty table; the
+    table's items are written in its place, ``_WRITE_BLOCK`` entries at a
+    time, each entry looked up in a table of state strings.  That table
+    holds the strings of 0 .. max(table) when they number at most a block,
+    and otherwise each block's entries are converted one by one, so it is
+    never sized by q.  The bytes are json's.  ``extra`` may not replace a
+    rule field.
     """
-    doc = rule_to_dict(rule)
+    doc = {**_rule_fields(rule), "table": []}
     if extra:
         clash = sorted(doc.keys() & extra.keys())
         if clash:
@@ -102,12 +114,16 @@ def dump_rule(rule: LocalRule, path: str | Path, extra: dict[str, Any] | None = 
     # the only line that starts with exactly two spaces and "table" is the
     # top-level key: deeper keys are indented further, and JSON strings
     # hold no raw newline
-    head, tail = json.dumps({**doc, "table": []}, indent=2).split('\n  "table": []', 1)
-    # popped, so the list is freed before the text is written
-    items = json.dumps(doc.pop("table"), separators=(",\n    ", ": "))
+    head, tail = json.dumps(doc, indent=2).split('\n  "table": []', 1)
+    array = rule.array
+    top = int(array.max()) + 1
+    strings = np.array([str(v) for v in range(top)], dtype=object) if top <= _WRITE_BLOCK else None
     with open(path, "w", encoding="utf-8") as f:
         f.write(head + '\n  "table": [\n    ')
-        f.write(items[1:-1])
+        for lo in range(0, len(array), _WRITE_BLOCK):
+            block = array[lo : lo + _WRITE_BLOCK]
+            items = strings[block].tolist() if strings is not None else map(str, block.tolist())
+            f.write((",\n    " if lo else "") + ",\n    ".join(items))
         f.write("\n  ]" + tail + "\n")
 
 

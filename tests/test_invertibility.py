@@ -26,6 +26,7 @@ from acainvert.errors import (
     NotOneDimensionalError,
     ResourceCapExceededError,
 )
+from acainvert import invertibility
 from acainvert.invertibility import (
     DerivationConflict,
     Verdict,
@@ -46,7 +47,7 @@ from naive_oracles import (
     naive_least_fully_witness,
     naive_least_purely_witness,
 )
-from test_nakamura import bar_pair_inputs
+from test_nakamura import bar_pair_inputs, bar_table_inputs
 
 
 def rule_of(table, *offsets, q=2):
@@ -363,6 +364,50 @@ def golden_purely_pairs():
         pair = build_bar_pair(C, G)
         pairs += [(pair.forward, pair.backward), (pair.backward, pair.forward)]
     return pairs
+
+
+def sweep_block_pairs():
+    """Every ECA with its derived candidate (itself where derivation
+    conflicts), a seeded sample of 2- and 3-state rules on 1 to 4 offsets
+    with partners, and the bar pair of every ``bar_pair_inputs()`` pair."""
+    rng = random.Random(15)
+    pairs = []
+    for n in range(256):
+        rule = eca_from_wolfram(n)
+        candidate = derive_candidate_inverse(rule)
+        pairs.append((rule, candidate if isinstance(candidate, LocalRule) else rule))
+    for _ in range(60):
+        q = rng.randint(2, 3)
+        neighborhood = Neighborhood.line(*sorted(rng.sample(range(-2, 3), rng.randint(1, 4))))
+        C = LocalRule(Alphabet(q), neighborhood, [rng.randrange(q) for _ in range(q ** len(neighborhood))])
+        pairs.append((C, _partner(rng, C)))
+    for C, G in bar_pair_inputs():
+        pair = build_bar_pair(C, G)
+        pairs.append((pair.forward, pair.backward))
+    return pairs
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_sweep_block_does_not_change_results(monkeypatch, block):
+    """Blocks split at test columns (by the children the rows make), at
+    other columns (by n·q) and by the cut across activation sets; none of
+    it may change a verdict or a witness, in either direction."""
+    ordered = [(C, G) for pair in sweep_block_pairs() for C, G in (pair, pair[::-1])]
+    default = [check_inverse_purely(C, G).to_dict() for C, G in ordered]
+    monkeypatch.setattr(invertibility, "_SWEEP_BLOCK", block)
+    assert [check_inverse_purely(C, G).to_dict() for C, G in ordered] == default
+
+
+def test_padded_bar_pair_holds_in_smaller_blocks(monkeypatch):
+    """The last ``bar_table_inputs()`` pair, on (-2, ..., 2), sweeps
+    12^9-window sets for seconds per direction, so it runs at one block
+    size only: a quarter of the default, where it splits at both kinds of
+    column.  Both directions are invertible, as the construction claims."""
+    monkeypatch.setattr(invertibility, "_SWEEP_BLOCK", invertibility._SWEEP_BLOCK // 4)
+    pair = build_bar_pair(*bar_table_inputs()[-1])
+    for C, G in ((pair.forward, pair.backward), (pair.backward, pair.forward)):
+        report = check_inverse_purely(C, G, cap=1 << 62)
+        assert (report.verdict, report.inverse, report.witness) == (Verdict.INVERTIBLE, G, None)
 
 
 class TestPurelyGoldenWitnesses:

@@ -43,9 +43,7 @@ def bar_pair_inputs():
     G(x) = x_{+1} - 1 (mod 3)."""
     ecas = ((51, 51), (204, 204), (170, 240), (240, 170), (15, 85), (85, 15))
     pairs = [(eca_from_wolfram(a), eca_from_wolfram(b)) for a, b in ecas]
-    shift = LocalRule(Alphabet(3), Neighborhood.line(-1), (1, 2, 0))
-    unshift = LocalRule(Alphabet(3), Neighborhood.line(1), (2, 0, 1))
-    return pairs + [(shift, unshift)]
+    return pairs + [shift_pair(3)]
 
 
 def ring_sync_step(rule, states):
@@ -235,6 +233,56 @@ BAR_FILE_DIGESTS = [
     ("6c128f414cb925222e09488919d71d9809191e805521eed50409ab46429fa223",
      "e47de6e5fe83a70fc19a7cb65d4901c26660f92ea0e100fc984b222c4705a8a3"),
 ]
+
+
+def shift_pair(q):
+    """C(x) = x_{-1} + 1, G(x) = x_{+1} - 1 (mod q): a synchronous inverse pair."""
+    shift = LocalRule(Alphabet(q), Neighborhood.line(-1), [(x + 1) % q for x in range(q)])
+    unshift = LocalRule(Alphabet(q), Neighborhood.line(1), [(x - 1) % q for x in range(q)])
+    return shift, unshift
+
+
+def planar_inputs():
+    """Two 2-D pairs, C(x) = x_(0,-1) and G(x) = x_(0,1) at q = 2: as
+    given, and with C padded by a dummy offset (-1, 0), so the symmetrized
+    union is the von Neumann neighborhood and the 12^5-entry tables carry
+    dummy axes on both sides of the center."""
+    up = LocalRule(Alphabet(2), Neighborhood(2, ((0, -1),)), (0, 1))
+    down = LocalRule(Alphabet(2), Neighborhood(2, ((0, 1),)), (0, 1))
+    padded = LocalRule(Alphabet(2), Neighborhood(2, ((-1, 0), (0, -1))), (0, 1, 0, 1))
+    return [(up, down), (padded, down)]
+
+
+# recorded with the per-configuration build that unravelled every table index
+MORE_BAR_TABLE_DIGESTS = {
+    "shift-q4": "55d566f157d2c6d425d21ab57118d6ae462edd39a0181271c645712b9855ff8a",
+    # on its three offsets, the 2-D shift pair has the tables of the ECA pair (15, 85)
+    "planar": BAR_TABLE_DIGESTS[4],
+    "planar-padded": "ebdf68e8f6ed9a7da76544cbfb7e768ac68b4f7464c4f3d8c0f8735264e4e86d",
+}
+
+
+@pytest.mark.parametrize("name", MORE_BAR_TABLE_DIGESTS)
+def test_more_bar_table_digests(name):
+    inputs = {"shift-q4": shift_pair(4), "planar": planar_inputs()[0], "planar-padded": planar_inputs()[1]}
+    pair = build_bar_pair(*inputs[name])
+    assert sha256_of([pair.forward.table, pair.backward.table]) == MORE_BAR_TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_planar_tables_are_derived_inverses_of_each_other(index):
+    """The 1-D naive oracle cannot read 2-D pairs; the derived inverse
+    cross-checks both, and the purely check the unpadded one (12^5
+    logical windows; the padded pair's von Neumann window has 12^13)."""
+    C, G = planar_inputs()[index]
+    pair = build_bar_pair(C, G)
+    assert pair.neighborhood == C.neighborhood.union(G.neighborhood).symmetrized_with_origin()
+    for one, other in ((pair.forward, pair.backward), (pair.backward, pair.forward)):
+        candidate = derive_candidate_inverse(minimize_neighborhood(one))
+        assert isinstance(candidate, LocalRule)
+        assert with_neighborhood(candidate, one.neighborhood) == other
+        if index == 0:
+            assert check_inverse_purely(one, other).verdict is Verdict.INVERTIBLE
 
 
 def _plain(rule):

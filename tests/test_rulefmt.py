@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acainvert import Alphabet, LocalRule, Neighborhood, WindowConfig, eca_from_wolfram
+from acainvert import rulefmt
 from acainvert.errors import RuleFormatError
+from acainvert.nakamura import build_bar_pair
 from acainvert.rulefmt import (
     dump_rule,
     load_rule,
@@ -19,6 +22,8 @@ from acainvert.rulefmt import (
     rule_to_dict,
     window_to_dict,
 )
+
+from test_nakamura import bar_table_inputs
 
 
 def test_rule_dict_shape():
@@ -129,24 +134,58 @@ def _random_extra(rng: random.Random) -> dict:
     }
 
 
-def test_dump_rule_writes_indented_json_bytes(tmp_path):
+def test_dump_rule_writes_indented_json_bytes(tmp_path, monkeypatch):
     """The file is exactly ``json.dumps(doc, indent=2)`` and a newline:
     q from 1 to 4 (q = 1 and the empty neighborhood give one-entry
     tables), 0 to 3 offsets, a 2-D neighborhood, with and without extra
-    fields."""
+    fields; wide alphabets, whose entries are uint8 (q = 256), uint16
+    (q = 300), uint32 (q = 2^16 + 1) and uint64 (a one-entry table at
+    q = 2^40), which a string table sized by q could not hold; one table
+    longer than a write block, and all of them again in blocks of 5."""
     rng = random.Random(20261018)
     neighborhoods = [Neighborhood.line(*sorted(rng.sample(range(-3, 4), n))) for n in (0, 1, 2, 3)]
     neighborhoods.append(Neighborhood(2, ((0, 0), (0, 1), (1, 0))))
-    path = tmp_path / "rule.json"
+    rules = []
     for q in (1, 2, 3, 4):
         for neighborhood in neighborhoods:
             table = tuple(rng.randrange(q) for _ in range(q ** len(neighborhood)))
-            rule = LocalRule(Alphabet(q), neighborhood, table)
+            rules.append(LocalRule(Alphabet(q), neighborhood, table))
+    for q, offsets in ((256, (0,)), (300, (0,)), (256, (-1, 1)), ((1 << 16) + 1, (0,)), (1 << 40, ())):
+        neighborhood = Neighborhood.line(*offsets)
+        table = [rng.randrange(q) for _ in range(q ** len(neighborhood))]
+        if q > 1 << 16:
+            # the largest states render through the per-entry path
+            table[-1] = q - 1
+        rules.append(LocalRule(Alphabet(q), neighborhood, table))
+    assert [rule.array.dtype for rule in rules[-5:]] == [np.uint8, np.uint16, np.uint8, np.uint32, np.uint64]
+    # 3^11 entries span several blocks of the default size
+    rules.append(LocalRule(Alphabet(3), Neighborhood.line(*range(11)), np.arange(3**11) * 7 % 3))
+    assert len(rules[-1].array) > rulefmt._WRITE_BLOCK
+    path = tmp_path / "rule.json"
+    for block in (rulefmt._WRITE_BLOCK, 5):
+        monkeypatch.setattr(rulefmt, "_WRITE_BLOCK", block)
+        for rule in rules:
             for extra in (None, {}, _random_extra(rng)):
                 dump_rule(rule, path, extra=extra)
                 doc = rule_to_dict(rule)
                 doc.update(extra or {})
-                assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode(), (rule, extra)
+                assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode(), (rule.q, extra)
+
+
+def test_dump_rule_memory_stays_below_the_text_it_writes(tmp_path):
+    """Writing the padded bar pair's 12^5-entry forward table allocates
+    less, at its peak, than the text of the table alone."""
+    pair = build_bar_pair(*bar_table_inputs()[-1])
+    path = tmp_path / "rule.json"
+    tracemalloc.start()
+    try:
+        dump_rule(pair.forward, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the table's items and their separators
+    table = sum(len(str(v)) for v in pair.forward.table) + (12**5 - 1) * len(",\n    ")
+    assert peak < table
 
 
 def test_dump_rule_refuses_extra_that_replaces_a_rule_field(tmp_path):
