@@ -40,9 +40,20 @@ def _add_rule_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--wolfram", type=int, metavar="N", help="elementary rule number 0..255")
 
 
+def _window_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        # a cap below 1 refuses every check, so it is a usage error
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return cap
+
+
 def _add_cap_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cap", type=int, default=DEFAULT_WINDOW_CAP, metavar="K",
-                        help="cap on the number of test windows q^|T| (default %(default)s)")
+    parser.add_argument("--cap", type=_window_cap, default=DEFAULT_WINDOW_CAP, metavar="K",
+                        help="cap on the number of test windows q^|T|, at least 1 (default %(default)s)")
 
 
 def _load_source(args: argparse.Namespace) -> LocalRule:

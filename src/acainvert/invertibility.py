@@ -18,7 +18,10 @@ configuration's table index is its own mixed-radix value.  The purely
 clause for an activation set D reads only the cells S = D ∪ (D+N), so its
 least violating window is the least violating assignment to S with zeros
 elsewhere; the check sweeps each D on its own, growing assignments to S
-cell by cell in bounded blocks of numpy rows.  A cell c of D is decided
+cell by cell in bounded blocks of numpy rows.  The sets with at most two
+cells decide the verdict (the proof is in ``check_inverse_purely``), so
+they are swept first; the larger sets are swept only for a direction
+that fails, to find its least witness.  A cell c of D is decided
 once its last read c + max(N ∪ {0}) is assigned; that cell then grows
 each partial assignment only by the states that make c change, listed
 per assignment of c's other reads in a flip table built from the rule's
@@ -308,32 +311,12 @@ def _purely_sweep(q: int, plan: _SetPlan, flips, tab2, bound: int | None):
     return None
 
 
-def check_inverse_purely(
-    C: LocalRule,
-    G: LocalRule,
-    *,
-    cap: int = DEFAULT_WINDOW_CAP,
-    workers: int = 1,
-) -> DecisionReport:
-    """Exact invertibility check for the purely asynchronous scheme.
-
-    Verdict is invertible iff, over the finite window, every simultaneous
-    update by one rule at an admissible active set is undone by the other
-    rule at the same set, in both directions.  With M = N ∪ {0}, the test
-    window is T = M + M = {0} ∪ N ∪ (N+N), and the admissible sets are
-    every D with 0 ∈ D ⊆ M, taken in the order of the indicator vector of
-    M's non-origin offsets, first offset most significant, so {0} comes
-    first and M last; a tie on the least window goes to the earlier set.
-    The clause for a set D reads only S = D ∪ (D+N), so its least
-    violating window is the least violating assignment to S with zeros
-    elsewhere; ``_purely_sweep`` finds it per D, growing rows only by
-    digits that flip, and skips every window that cannot beat the least
-    (window, D) found so far.  The backward direction runs only when the
-    forward one holds, as a forward witness is reported first.
-    ``stats.windows`` counts the q^|T| logical windows; ``workers`` is
-    accepted and not used.
+def _purely_sets(C: LocalRule, G: LocalRule, cap: int):
+    """The purely test window T = M + M, the activation family in order,
+    each set's ``_SetPlan``, and ``sweep(backward, i, bound)``, which runs
+    ``_purely_sweep`` for set i in one direction (C then G, or G then C
+    when ``backward``), building that direction's flip table on first use.
     """
-    t0 = time.perf_counter()
     _require_pair(C, G)
     q = C.q
     origin = C.neighborhood.origin
@@ -354,24 +337,119 @@ def check_inverse_purely(
     zero = index[origin]
     weights = q ** np.arange(len(cells) - 1, -1, -1, dtype=np.int64)
     plans = [_SetPlan.build([index[c] for c in active], sums, zero, weights) for active in family]
-    tab_c = with_neighborhood(C, reach).array
-    tab_g = with_neighborhood(G, reach).array
-    directions = ((CLAUSE_PURELY_FORWARD, tab_c, tab_g), (CLAUSE_PURELY_BACKWARD, tab_g, tab_c))
-    for clause, tab1, tab2 in directions:
-        flips = _flip_table(tab1, q, len(reach), zero)
-        best = None
-        for active, plan in zip(family, plans):
-            row = _purely_sweep(q, plan, flips, tab2, None if best is None else best[0])
+    tables = (with_neighborhood(C, reach).array, with_neighborhood(G, reach).array)
+    flips = {}
+
+    def sweep(backward: bool, i: int, bound: int | None):
+        if backward not in flips:
+            flips[backward] = _flip_table(tables[backward], q, len(reach), zero)
+        return _purely_sweep(q, plans[i], flips[backward], tables[not backward], bound)
+
+    return cells, family, plans, sweep
+
+
+def check_inverse_purely(
+    C: LocalRule,
+    G: LocalRule,
+    *,
+    cap: int = DEFAULT_WINDOW_CAP,
+    workers: int = 1,
+) -> DecisionReport:
+    """Exact invertibility check for the purely asynchronous scheme.
+
+    Verdict is invertible iff, over the finite window, every simultaneous
+    update by one rule at an admissible active set is undone by the other
+    rule at the same set, in both directions.  With M = N ∪ {0}, the test
+    window is T = M + M = {0} ∪ N ∪ (N+N), and the admissible sets are
+    every D with 0 ∈ D ⊆ M, taken in the order of the indicator vector of
+    M's non-origin offsets, first offset most significant, so {0} comes
+    first and M last; a tie on the least window goes to the earlier set.
+    The clause for a set D constrains the windows in which the first rule
+    changes every cell of D, and reads only S = D ∪ (D+N), so its least
+    violating window is the least violating assignment to S with zeros
+    elsewhere; ``_purely_sweep`` finds it per D, growing rows only by
+    digits that flip, and skips every window that cannot beat the least
+    (window, D) found so far.
+
+    The sets of at most two cells decide the verdict.  Write "C flips c
+    in x" for C(x|c+M) ≠ x_c, C_E x for x with every cell of E updated by
+    C at once, and let I(E), for 0 ∈ E ⊆ M, say: whenever C flips every
+    cell of E in x, replacing the cells of E∖{0} by their C-images leaves
+    C(x|M) unchanged.
+
+    1. The test at a cell c of D reads only D ∩ (c+M); translated by -c
+       it is cell 0's test for E = (D - c) ∩ M, a set of the family.  So
+       the forward clauses hold for every D iff cell 0 is undone for
+       every E: G((C_E x)|M) = x_0 whenever C flips every cell of E in x.
+    2. Forward {0, e} and backward {0} give I({0, e}).  Let C flip 0 and
+       e in x, y = C_{0,e} x, and z be y with cell 0 at x_0.  By forward
+       {0, e}, G(y|M) = x_0 ≠ y_0, so G flips cell 0 of y, to z; backward
+       {0} says C undoes that, so C(z|M) = y_0 = C(x|M).
+    3. I(E) holds for every E, by strong induction on |E|; it says
+       nothing for {0}, and step 2 gives it for two cells.  Let C flip
+       every cell of E = {0, e_1, ..., e_r} in x, y = C_E x, and x^j be x
+       with e_1, ..., e_j set to their C-images y_(e_1), ..., y_(e_j).
+       Let C(x^(j-1)|M) = y_0, as holds at j = 1.  Cell e_j reads x^(j-1)
+       as it reads x except at the e_i, i < j, in e_j + M; translated by
+       -e_j they form with 0 a set of at most j ≤ r cells, all flipped by
+       C, so by its I, C(x^(j-1)|e_j+M) = y_(e_j) ≠ x_(e_j).  C thus flips
+       0 and e_j in x^(j-1), and I({0, e_j}) gives C(x^j|M) = y_0.  At
+       j = r this is I(E).
+    4. I(E) and forward {0} give the clause for E.  With x and y as in
+       3, z = x^r is y with cell 0 at x_0.  By I(E), C(z|M) = y_0 ≠ z_0,
+       so C flips cell 0 of z, to y, and forward {0} says G(y|M) = x_0.
+
+    So the forward clauses follow from forward {0}, backward {0} and
+    every forward {0, e}; the backward ones, symmetrically, from backward
+    {0}, forward {0} and every backward {0, e}.  Nothing here uses how G
+    was derived, nor the dimension.  The check sweeps the forward small
+    sets ({0}, then each {0, e}, in family order), then the backward {0},
+    then the backward small sets, and if all of them hold it returns
+    invertible.  A direction sweeps its larger sets only when its own
+    small sets or the other direction's {0} fail, and then only to find
+    its least witness: the least small-set window is the bound, and a set
+    before the best one in family order also keeps a window equal to it,
+    so the witness is the least (window, D) over the whole family.  A
+    forward witness is reported first; the backward direction runs only
+    when the forward one holds.  ``stats.windows`` counts the q^|T|
+    logical windows; ``workers`` is accepted and not used.
+    """
+    t0 = time.perf_counter()
+    cells, family, plans, sweep = _purely_sets(C, G, cap)
+    windows = C.q ** len(cells)
+
+    def least(backward: bool, sets: list[int], best=None):
+        """The least (window index, set, row) over ``sets`` in one
+        direction, or ``best`` if none beats it."""
+        for i in sets:
+            # a set before the best one in family order wins a tie
+            row = sweep(backward, i, None if best is None else best[0] + (i < best[1]))
             if row is not None:
-                best = (int(row @ plan.weights), active, plan, row)
+                best = (int(row @ plans[i].weights), i, row)
+        return best
+
+    small = [i for i, active in enumerate(family) if len(active) <= 2]
+    large = [i for i, active in enumerate(family) if len(active) > 2]
+    clause = CLAUSE_PURELY_FORWARD
+    best = least(False, small)
+    zero_back = None if best is not None else least(True, small[:1])
+    if best is not None or zero_back is not None:
+        best = least(False, large, best)
+    if best is None:
+        # the forward direction holds, forward {0} with it, so the backward
+        # small sets decide the backward direction
+        clause = CLAUSE_PURELY_BACKWARD
+        best = least(True, small[1:], zero_back)
         if best is not None:
-            _, active, plan, row = best
-            states = [0] * len(cells)
-            for x, state in zip(plan.positions, row.tolist()):
-                states[x] = state
-            witness = Witness(WindowConfig(cells, tuple(states)), active, clause)
-            return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
-    return _report(t0, windows, Verdict.INVERTIBLE, G)
+            best = least(True, large, best)
+    if best is None:
+        return _report(t0, windows, Verdict.INVERTIBLE, G)
+    _, i, row = best
+    states = [0] * len(cells)
+    for x, state in zip(plans[i].positions, row.tolist()):
+        states[x] = state
+    witness = Witness(WindowConfig(cells, tuple(states)), family[i], clause)
+    return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
 
 
 def _least_path(q: int, k: int, allowed: list[list[bool]]) -> list[int] | None:

@@ -7,8 +7,9 @@ state, the previous state, and a mod-3 time stamp.  A cell may advance
 lags behind it and its stored previous state is consistent with the
 backward rule; the mirror condition governs retreating.  For a synchronous
 inverse pair (C, G) the two transformed rules are inverses under the
-purely asynchronous scheme, which :func:`verify_theorem1` confirms by
-running the exact finite-window check on the transformed pair.
+purely asynchronous scheme; :func:`verify_theorem1` runs the exact
+finite-window check on the transformed pair, which tests the tables, not
+the premise.
 
 Bar states are serialized through the fixed bijection
 ``code = curr * 3q + old * 3 + time``.
@@ -190,10 +191,14 @@ def verify_theorem1(
     cap: int = DEFAULT_WINDOW_CAP,
     workers: int = 1,
 ) -> DecisionReport:
-    """Check that the transformed pair is purely asynchronously inverse.
+    """Run the exact purely asynchronous check on the bar pair of (C, G).
 
-    The synchronous-inverse premise on (C, G) is the caller's claim; this
-    verifies the construction's conclusion, which is the falsifiable part.
+    This checks that the two bar tables undo each other's steps under the
+    purely scheme, which tests how the tables were built.  It does not
+    check that (C, G) is a synchronous inverse pair, and it cannot falsify
+    that premise: every pair tried so far got ``invertible``, including
+    pairs that are not synchronous inverses, such as 400 random ECA
+    pairs, the self-pairs (110, 110), (30, 30) and (90, 90), and (0, 255).
     The check runs on one thread; ``workers`` is accepted and not used.
     """
     pair = build_bar_pair(C, G)

@@ -24,6 +24,22 @@ UNREADABLE = {
 }
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("command", ["decide-purely", "decide-fully", "classify-eca", "nakamura-verify"])
+def test_non_positive_cap_exits_two_before_any_work(run_cli, tmp_path, command, cap):
+    if command == "nakamura-verify":
+        argv = ["nakamura", "--rule", write_wolfram(tmp_path, "rule.json", 170),
+                "--inverse", write_wolfram(tmp_path, "inverse.json", 240),
+                "--out-dir", str(tmp_path / "bar"), "--verify"]
+    elif command == "classify-eca":
+        argv = ["classify-eca", "--scheme", "purely", "--out", str(tmp_path / "atlas.json")]
+    else:
+        argv = ["decide", "--wolfram", "110", "--scheme", command.split("-")[1]]
+    result = run_cli(*argv, "--cap", cap)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert not (tmp_path / "bar").exists() and not (tmp_path / "atlas.json").exists()
+
+
 class TestDecide:
     def test_invertible_rule_exits_zero(self, run_cli):
         result = run_cli("decide", "--wolfram", "204", "--scheme", "purely")
@@ -262,6 +278,13 @@ class TestSimulate:
         result = run_cli("simulate", "--wolfram", "110", "--scheme", "purely",
                          "--size", "0", "--steps", "1", "--seed", "1")
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--p", "nan"), ("--p", "-0.1"), ("--size", "-4")])
+    def test_edge_values_exit_two_with_empty_stdout(self, run_cli, flag, value):
+        # the edge value comes last, so it overrides the valid --size
+        result = run_cli("simulate", "--wolfram", "110", "--scheme", "purely",
+                         "--size", "8", "--steps", "1", "--seed", "1", flag, value)
+        assert (result.exit_code, result.stdout) == (2, "")
 
     def test_bad_probability_exits_two(self, run_cli):
         result = run_cli("simulate", "--wolfram", "110", "--scheme", "purely",

@@ -47,7 +47,7 @@ from naive_oracles import (
     naive_least_fully_witness,
     naive_least_purely_witness,
 )
-from test_nakamura import bar_pair_inputs, bar_table_inputs
+from test_nakamura import bar_pair_inputs, bar_table_inputs, planar_inputs
 
 
 def rule_of(table, *offsets, q=2):
@@ -399,15 +399,154 @@ def test_sweep_block_does_not_change_results(monkeypatch, block):
 
 
 def test_padded_bar_pair_holds_in_smaller_blocks(monkeypatch):
-    """The last ``bar_table_inputs()`` pair, on (-2, ..., 2), sweeps
-    12^9-window sets for seconds per direction, so it runs at one block
-    size only: a quarter of the default, where it splits at both kinds of
-    column.  Both directions are invertible, as the construction claims."""
+    """The last ``bar_table_inputs()`` pair, on (-2, ..., 2), has 12^9
+    windows, so it runs at one block size only: a quarter of the default.
+    Both directions are invertible, as the construction claims, so the
+    check sweeps only the sets of at most two cells here; the larger sets,
+    where blocks split at both kinds of column, are swept at this block
+    size by ``test_small_sets_decide_on_pinned_pairs``."""
     monkeypatch.setattr(invertibility, "_SWEEP_BLOCK", invertibility._SWEEP_BLOCK // 4)
     pair = build_bar_pair(*bar_table_inputs()[-1])
     for C, G in ((pair.forward, pair.backward), (pair.backward, pair.forward)):
         report = check_inverse_purely(C, G, cap=1 << 62)
         assert (report.verdict, report.inverse, report.witness) == (Verdict.INVERTIBLE, G, None)
+
+
+def set_holds(C, G):
+    """The activation family and, per direction (forward, then backward),
+    whether each set's clause holds, every set swept on its own."""
+    _, family, _, sweep = invertibility._purely_sets(C, G, 1 << 62)
+    return family, [[sweep(backward, i, None) is None for i in range(len(family))] for backward in (False, True)]
+
+
+def assert_small_sets_decide(C, G):
+    """The sets of at most two cells decide the purely verdict: both
+    directions' small sets hold iff every set does, and one direction holds
+    on every set once its own small sets and the other direction's {0}
+    hold.  The check answers what the whole family answers.  Returns
+    whether the small sets hold."""
+    family, holds = set_holds(C, G)
+    small = [all(h for h, active in zip(flags, family) if len(active) <= 2) for flags in holds]
+    whole = all(holds[0]) and all(holds[1])
+    assert (small[0] and small[1]) == whole, (C, G)
+    for d in (0, 1):
+        # family[0] is {0}
+        if small[d] and holds[1 - d][0]:
+            assert all(holds[d]), (C, G, d)
+    assert (check_inverse_purely(C, G, cap=1 << 62).verdict is Verdict.INVERTIBLE) == whole, (C, G)
+    return small[0] and small[1]
+
+
+def small_set_bar_pairs():
+    """The bar pairs of every ``bar_table_inputs()`` pair, the padded one
+    included, and of the unpadded planar pair (the padded planar pair's
+    larger sets sweep for minutes)."""
+    pairs = [build_bar_pair(C, G) for C, G in bar_table_inputs() + planar_inputs()[:1]]
+    return [(pair.forward, pair.backward) for pair in pairs]
+
+
+SMALL_SET_CORPORA = {
+    "sweep-block": sweep_block_pairs,
+    "golden": golden_purely_pairs,
+    "bar": small_set_bar_pairs,
+}
+
+
+@pytest.mark.parametrize("corpus", SMALL_SET_CORPORA)
+def test_small_sets_decide_on_pinned_pairs(monkeypatch, corpus):
+    """At a quarter of the default block, so the padded bar pair's larger
+    sets split blocks at both kinds of column."""
+    monkeypatch.setattr(invertibility, "_SWEEP_BLOCK", invertibility._SWEEP_BLOCK // 4)
+    passed = [assert_small_sets_decide(C, G) for C, G in SMALL_SET_CORPORA[corpus]()]
+    # only a pair that passes the small sets could show a mismatch
+    assert any(passed)
+
+
+VON_NEUMANN = Neighborhood(2, ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)))
+
+
+@st.composite
+def sparse_flip_pairs(draw):
+    """A rule that keeps cell 0 except at 1-6 redrawn entries, q <= 3, on
+    M = N of at most six cells in [-3, 3] or on the 2-D von Neumann
+    neighborhood, and a partner: its derived candidate (the rule itself on
+    a conflict), with one entry redrawn half the time.  Such pairs often
+    pass the small sets, the only inputs on which they could disagree
+    with the whole family."""
+    q = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        others = draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=5, unique=True))
+        neighborhood = Neighborhood.line(0, *others)
+    else:
+        neighborhood = VON_NEUMANN
+    k = len(neighborhood)
+    weight = q ** (k - 1 - neighborhood.offsets.index(neighborhood.origin))
+    table = [index // weight % q for index in range(q**k)]
+    entries = st.tuples(st.integers(0, q**k - 1), st.integers(0, q - 1))
+    for index, state in draw(st.lists(entries, min_size=1, max_size=6)):
+        table[index] = state
+    C = LocalRule(Alphabet(q), neighborhood, tuple(table))
+    candidate = derive_candidate_inverse(C)
+    partner = list((candidate if isinstance(candidate, LocalRule) else C).table)
+    if draw(st.booleans()):
+        partner[draw(st.integers(0, q**k - 1))] = draw(st.integers(0, q - 1))
+    return C, LocalRule(C.alphabet, neighborhood, tuple(partner))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=sparse_flip_pairs())
+def test_small_sets_decide_on_sparse_flip_pairs(pair):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invertibility, "_SWEEP_BLOCK", invertibility._SWEEP_BLOCK // 4)
+        assert_small_sets_decide(*pair)
+
+
+# (offsets, C table, G table, clause): on M = N ∪ {0} of four cells the
+# family order puts a three-cell set before a two-cell one, and in these
+# pairs both violate the reported direction's least window
+LEAST_WINDOW_TIES = [
+    ((-2, 0, 1, 3), (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1),
+     (0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1), "purely-forward"),
+    ((-2, -1, 0, 1), (0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 1),
+     (1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 1), "purely-backward"),
+]
+
+
+@pytest.mark.parametrize("offsets,delta,gamma,clause", LEAST_WINDOW_TIES)
+def test_tie_on_the_least_window_goes_to_the_earlier_set(offsets, delta, gamma, clause):
+    """The small sets are swept first, so the later two-cell set sets the
+    bound; the earlier three-cell set must still win the tie."""
+    C = rule_of(delta, *offsets)
+    G = rule_of(gamma, *offsets)
+    _, family, plans, sweep = invertibility._purely_sets(C, G, 1 << 62)
+    backward = clause == "purely-backward"
+    least = {}
+    for i in range(len(family)):
+        row = sweep(backward, i, None)
+        if row is not None:
+            least[i] = int(row @ plans[i].weights)
+    window = min(least.values())
+    ties = [i for i in sorted(least) if least[i] == window]
+    assert len(family[ties[0]]) == 3 and any(len(family[i]) == 2 for i in ties[1:])
+    w = check_inverse_purely(C, G).witness
+    assert (w.active, w.clause) == (family[ties[0]], clause)
+    assert (w.window.states, tuple(c[0] for c in w.active), w.clause) == naive_least_purely_witness(
+        offsets, 2, delta, gamma
+    )
+
+
+@pytest.mark.parametrize("n,g", [(4, 236), (20, 236)])
+def test_failing_backward_zero_sends_the_forward_direction_to_its_larger_sets(n, g):
+    """The forward small sets hold, but the backward {0} fails, so the
+    small sets do not decide the forward direction; here it fails at M."""
+    C, G = eca_from_wolfram(n), eca_from_wolfram(g)
+    family, holds = set_holds(C, G)
+    assert all(h for h, active in zip(holds[0], family) if len(active) <= 2) and not holds[1][0]
+    w = check_inverse_purely(C, G).witness
+    assert (w.active, w.clause) == (((-1,), (0,), (1,)), "purely-forward")
+    assert (w.window.states, tuple(c[0] for c in w.active), w.clause) == naive_least_purely_witness(
+        (-1, 0, 1), 2, C.table, G.table
+    )
 
 
 class TestPurelyGoldenWitnesses:
@@ -833,6 +972,25 @@ def test_eca_verdicts_invariant_under_mirror_and_state_swap(decide):
             assert image.verdict is base.verdict, n
             if base.inverse is not None:
                 assert image.inverse == transform(base.inverse), n
+
+
+def dilated(rule, g):
+    """The 1-D rule reading offset g·n where it read n."""
+    return LocalRule(rule.alphabet, Neighborhood.line(*(g * n[0] for n in rule.neighborhood.offsets)), rule.table)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_purely_eca_verdicts_invariant_under_dilation(g):
+    """Reading (-g, 0, g) splits Z into g independent copies of the ECA's
+    lattice, so neither the verdict nor, dilated, the inverse may change.
+    The fully scheme waits for a check past the window cap: at g = 2 its
+    window has 69 cells, refused even at cap 2^62."""
+    for n in range(256):
+        rule = eca_from_wolfram(n)
+        base = decide_purely(rule)
+        image = decide_purely(dilated(rule, g))
+        assert image.verdict is base.verdict, n
+        assert image.inverse == (None if base.inverse is None else dilated(base.inverse, g)), n
 
 
 def test_purely_verdicts_invariant_under_mirror_and_state_permutation():
