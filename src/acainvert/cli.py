@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .atlas import classify_all_eca, diff_against_reference
 from .core import LocalRule, eca_from_wolfram
-from .errors import CaError
+from .errors import CaError, ResourceCapExceededError
 from .invertibility import (
     DEFAULT_WINDOW_CAP,
     Verdict,
@@ -100,7 +100,10 @@ def _cmd_classify_eca(args: argparse.Namespace) -> int:
 def _cmd_nakamura(args: argparse.Namespace) -> int:
     forward = load_rule(args.rule)
     backward = load_rule(args.inverse)
-    pair = build_bar_pair(forward, backward)
+    try:
+        pair = build_bar_pair(forward, backward)
+    except MemoryError as exc:
+        raise ResourceCapExceededError(f"bar tables do not fit in memory: {str(exc) or 'MemoryError'}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     encoding = {"encoding": pair.encoding_doc()}

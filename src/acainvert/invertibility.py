@@ -16,19 +16,19 @@ Neither check enumerates Q^T.  Each reads both rules widened by
 ``core.with_neighborhood`` to the cells a test reads, so a local
 configuration's table index is its own mixed-radix value.  The purely
 clause for an activation set D reads only the cells S = D ∪ (D+N), so its
-least violating window is the least violating assignment to S with zeros
-elsewhere; the check sweeps each D on its own, growing assignments to S
-cell by cell in bounded blocks of numpy rows.  The sets with at most two
-cells decide the verdict (the proof is in ``check_inverse_purely``), so
-they are swept first; the larger sets are swept only for a direction
-that fails, to find its least witness.  A cell c of D is decided
-once its last read c + max(N ∪ {0}) is assigned; that cell then grows
-each partial assignment only by the states that make c change, listed
-per assignment of c's other reads in a flip table built from the rule's
-table widened to N ∪ {0}.  The fully check (d = 1) reads blocks of
-k = span(N ∪ {0}) consecutive cells, the rules widened to that block, so
-it sweeps the de Bruijn graph of width k in O(|T|·q^k) steps (Sutner,
-Complex Systems 5, 1991).
+least violating window is 0 outside S; the check sweeps each D on its
+own, in bounded blocks of numpy rows that are windows over T, assigning
+the cells of S one at a time in window order and leaving the others 0.
+The sets with at most two cells decide the verdict (the proof is in
+``check_inverse_purely``), so they are swept first; the larger sets are
+swept only for a direction that fails, to find its least witness.  A
+cell c of D is decided once its last read c + max(N ∪ {0}) is assigned;
+that cell then grows each partial window only by the states that make c
+change, listed per assignment of c's other reads in a flip table built
+from the rule's table widened to N ∪ {0}.  The fully check (d = 1)
+reads blocks of k = span(N ∪ {0}) consecutive cells, the rules widened to
+that block, so it sweeps the de Bruijn graph of width k in O(|T|·q^k)
+steps (Sutner, Complex Systems 5, 1991).
 Both find the least violation enumeration would find, report the logical
 count q^|T| in ``stats.windows``, and run on one thread.
 
@@ -173,44 +173,27 @@ def _require_pair(C: LocalRule, G: LocalRule) -> None:
 _SWEEP_BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class _SetPlan:
+def _set_plan(active: list[int], sums: list[list[int]], zero: int, width: int):
     """How the purely sweep for one activation set D reads its rows.
 
-    Both rules are read widened to M = N ∪ {0}.  A row holds the states of
-    the cells S = D + M in window order, then the stepped state of each
-    cell of D.  ``positions`` are the window positions of S and
-    ``weights`` their window index weights.
+    Both rules are read widened to M = N ∪ {0}.  A row holds a window over
+    T (``width`` cells), then the stepped state of each cell of D; the
+    sweep assigns the window positions of S = D + M, in window order, and
+    the other cells stay 0.  ``active`` indexes D into M, ``zero`` indexes
+    0, and ``sums[i][j]`` is the window position of M[i] + M[j].
+    Returns (``positions``, ``tests``, ``undo``).  ``positions`` lists S.
     A cell c of D can be tested once its last read c + max(M) is assigned,
-    and distinct cells have distinct last reads, so column i completes at
-    most one test: ``tests[i]`` is None or (columns of the test's other
-    reads along M, stepped column).  ``undo`` lists (column, columns of
-    its reads along M after the step) for every cell of D.
+    and distinct cells have distinct last reads, so the position
+    ``positions[i]`` completes at most one test: ``tests[i]`` is None or
+    (positions of the test's other reads along M, stepped column).
+    ``undo`` lists (position, columns of its reads along M after the
+    step) for every cell of D.
     """
-
-    positions: tuple[int, ...]
-    weights: np.ndarray
-    tests: tuple[tuple[list[int], int] | None, ...]
-    undo: tuple[tuple[int, list[int]], ...]
-
-    @classmethod
-    def build(cls, active: list[int], sums: list[list[int]], zero: int, weights: np.ndarray) -> "_SetPlan":
-        """``active`` indexes D into M, ``zero`` indexes 0, and
-        ``sums[i][j]`` is the window position of M[i] + M[j]."""
-        positions = sorted({x for i in active for x in sums[i]})
-        column = {x: col for col, x in enumerate(positions)}
-        stepped = dict(column)
-        tests: list = [None] * len(positions)
-        for j, i in enumerate(active):
-            reads = [column[x] for x in sums[i]]
-            stepped[sums[i][zero]] = len(positions) + j
-            tests[reads[-1]] = (reads[:-1], len(positions) + j)
-        return cls(
-            positions=tuple(positions),
-            weights=weights[positions],
-            tests=tuple(tests),
-            undo=tuple((column[sums[i][zero]], [stepped[x] for x in sums[i]]) for i in active),
-        )
+    stepped = {sums[i][zero]: width + j for j, i in enumerate(active)}
+    last = {sums[i][-1]: (sums[i][:-1], width + j) for j, i in enumerate(active)}
+    positions = sorted({x for i in active for x in sums[i]})
+    undo = [(sums[i][zero], [stepped.get(x, x) for x in sums[i]]) for i in active]
+    return positions, [last.get(x) for x in positions], undo
 
 
 def _flip_table(tab: np.ndarray, q: int, k: int, zero: int):
@@ -236,34 +219,39 @@ def _local_indices(rows: np.ndarray, columns: list[int], q: int) -> np.ndarray:
     return index
 
 
-def _purely_sweep(q: int, plan: _SetPlan, flips, tab2, bound: int | None):
-    """Least window, as a row over S, whose flip by the rule behind
-    ``flips`` at every cell of D is not undone by ``tab2``; only windows
-    whose zero-padded index is below ``bound`` count.  None if there is none.
+def _purely_sweep(q: int, weights: np.ndarray, plan, flips, tab2, bound: int | None):
+    """Least window over T, whose index weights are ``weights``, whose
+    flip by the rule behind ``flips`` at every cell of D is not undone by
+    ``tab2``; only windows whose index is below ``bound`` count.  None if
+    there is none.  ``plan`` is D's ``_set_plan``.
 
-    Rows grow one cell at a time in window order.  A column that completes
-    a test gets only the digits that make the tested cell change state,
-    read off the flip table by the row's other reads of M; every other
-    column gets all q digits.  Children follow their parent, in digit
-    order, so every block of rows stays lexicographically sorted.  Blocks
-    wait on a stack, least on top, so the first violation found is the
-    least.  A block is extended at once only while it makes at most
-    ``_SWEEP_BLOCK`` children (n·q of n rows at a column without a test,
-    the flip counts of their reads at a test column); a larger one is
-    split into runs of parents that each make at most that many, or one
-    parent, which makes at most q.  A run split at a test column keeps
-    its reads' flip-table rows, so they are not read again.
+    A row is a window over T followed by the stepped cells of D.  Rows
+    grow one position of S at a time in window order; the cells outside S
+    stay 0.  A position that completes a test gets only the digits that
+    make the tested cell change state, read off the flip table by the
+    row's other reads of M; every other position of S gets all q digits.
+    Children follow their parent, in digit order, so every block of rows
+    stays lexicographically sorted.  Blocks wait on a stack, least on top,
+    so the first violation found is the least.  A block is extended at
+    once only while it makes at most ``_SWEEP_BLOCK`` children (n·q of n
+    rows at a position without a test, the flip counts of their reads at
+    a test position); a larger one is split into runs of parents that each
+    make at most that many, or one parent, which makes at most q.  A run
+    split at a test position keeps its reads' flip-table rows, so they are
+    not read again.
     """
+    positions, tests, undo = plan
     counts, ends, flip_digits, flip_states = flips
-    m = len(plan.positions)
+    width = len(weights)
     dtype = np.min_scalar_type(q)
     digits = np.arange(q, dtype=dtype)
     # (level, rows, the flip-table rows of their test's reads or None)
-    stack = [(0, np.zeros((1, m + len(plan.undo)), dtype=dtype), None)]
+    stack = [(0, np.zeros((1, width + len(undo)), dtype=dtype), None)]
     while stack:
         level, rows, prefix = stack.pop()
         n = len(rows)
-        test = plan.tests[level]
+        col = positions[level]
+        test = tests[level]
         if test is None:
             if n > 1 and n * q > _SWEEP_BLOCK:
                 size = max(1, _SWEEP_BLOCK // q)
@@ -271,7 +259,7 @@ def _purely_sweep(q: int, plan: _SetPlan, flips, tab2, bound: int | None):
                 continue
             rows = rows.repeat(q, axis=0)
             # repeat returns a fresh C-ordered array, so this reshape is a view
-            rows.reshape(n, q, -1)[:, :, level] = digits
+            rows.reshape(n, q, -1)[:, :, col] = digits
         else:
             reads, out_col = test
             if prefix is None:
@@ -289,31 +277,31 @@ def _purely_sweep(q: int, plan: _SetPlan, flips, tab2, bound: int | None):
             rows = rows.repeat(count, axis=0)
             # child j of a parent takes flip entry ends[prefix] - count + j
             slot = np.arange(len(rows)) + (ends[prefix] - total).repeat(count)
-            rows[:, level] = flip_digits[slot]
+            rows[:, col] = flip_digits[slot]
             rows[:, out_col] = flip_states[slot]
         if bound is not None:
-            keep = int(np.searchsorted(rows[:, : level + 1] @ plan.weights[: level + 1], bound))
+            keep = int(np.searchsorted(rows[:, : col + 1] @ weights[: col + 1], bound))
             if keep < len(rows):
                 # rows still on the stack come later in window order
                 stack.clear()
                 rows = rows[:keep]
         if not len(rows):
             continue
-        if level + 1 < m:
+        if level + 1 < len(positions):
             stack.append((level + 1, rows, None))
             continue
         missed = False
-        for col, reads in plan.undo:
-            missed = missed | (tab2[_local_indices(rows, reads, q)] != rows[:, col])
+        for x, reads in undo:
+            missed = missed | (tab2[_local_indices(rows, reads, q)] != rows[:, x])
         hits = missed.nonzero()[0]
         if len(hits):
-            return rows[hits[0], :m]
+            return rows[hits[0], :width]
     return None
 
 
 def _purely_sets(C: LocalRule, G: LocalRule, cap: int):
     """The purely test window T = M + M, the activation family in order,
-    each set's ``_SetPlan``, and ``sweep(backward, i, bound)``, which runs
+    T's window index weights, and ``sweep(backward, i, bound)``, which runs
     ``_purely_sweep`` for set i in one direction (C then G, or G then C
     when ``backward``), building that direction's flip table on first use.
     """
@@ -336,16 +324,16 @@ def _purely_sets(C: LocalRule, G: LocalRule, cap: int):
     sums = [[position[add_cells(a, b)] for b in reach] for a in reach]
     zero = index[origin]
     weights = q ** np.arange(len(cells) - 1, -1, -1, dtype=np.int64)
-    plans = [_SetPlan.build([index[c] for c in active], sums, zero, weights) for active in family]
+    plans = [_set_plan([index[c] for c in active], sums, zero, len(cells)) for active in family]
     tables = (with_neighborhood(C, reach).array, with_neighborhood(G, reach).array)
     flips = {}
 
     def sweep(backward: bool, i: int, bound: int | None):
         if backward not in flips:
             flips[backward] = _flip_table(tables[backward], q, len(reach), zero)
-        return _purely_sweep(q, plans[i], flips[backward], tables[not backward], bound)
+        return _purely_sweep(q, weights, plans[i], flips[backward], tables[not backward], bound)
 
-    return cells, family, plans, sweep
+    return cells, family, weights, sweep
 
 
 def check_inverse_purely(
@@ -366,10 +354,10 @@ def check_inverse_purely(
     first and M last; a tie on the least window goes to the earlier set.
     The clause for a set D constrains the windows in which the first rule
     changes every cell of D, and reads only S = D ∪ (D+N), so its least
-    violating window is the least violating assignment to S with zeros
-    elsewhere; ``_purely_sweep`` finds it per D, growing rows only by
-    digits that flip, and skips every window that cannot beat the least
-    (window, D) found so far.
+    violating window is 0 outside S; ``_purely_sweep`` finds it per D,
+    assigning only the cells of S, growing rows only by digits that flip,
+    and skips every window that cannot beat the least (window, D) found
+    so far.
 
     The sets of at most two cells decide the verdict.  Write "C flips c
     in x" for C(x|c+M) ≠ x_c, C_E x for x with every cell of E updated by
@@ -415,7 +403,7 @@ def check_inverse_purely(
     logical windows; ``workers`` is accepted and not used.
     """
     t0 = time.perf_counter()
-    cells, family, plans, sweep = _purely_sets(C, G, cap)
+    cells, family, weights, sweep = _purely_sets(C, G, cap)
     windows = C.q ** len(cells)
 
     def least(backward: bool, sets: list[int], best=None):
@@ -425,7 +413,7 @@ def check_inverse_purely(
             # a set before the best one in family order wins a tie
             row = sweep(backward, i, None if best is None else best[0] + (i < best[1]))
             if row is not None:
-                best = (int(row @ plans[i].weights), i, row)
+                best = (int(row @ weights), i, row)
         return best
 
     small = [i for i, active in enumerate(family) if len(active) <= 2]
@@ -445,10 +433,7 @@ def check_inverse_purely(
     if best is None:
         return _report(t0, windows, Verdict.INVERTIBLE, G)
     _, i, row = best
-    states = [0] * len(cells)
-    for x, state in zip(plans[i].positions, row.tolist()):
-        states[x] = state
-    witness = Witness(WindowConfig(cells, tuple(states)), family[i], clause)
+    witness = Witness(WindowConfig(cells, tuple(row.tolist())), family[i], clause)
     return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
 
 

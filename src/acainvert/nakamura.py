@@ -24,7 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import Alphabet, LocalRule, Neighborhood, with_neighborhood
-from .errors import AlphabetMismatchError, NeighborhoodMismatchError
+from .errors import AlphabetMismatchError, NeighborhoodMismatchError, ResourceCapExceededError
 from .invertibility import DEFAULT_WINDOW_CAP, DecisionReport, check_inverse_purely
 
 __all__ = [
@@ -103,20 +103,26 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
     each offset's own axis, they broadcast to everything the tables need.
     The tables are filled in slabs that fix the leading axes, one index or
     a run of them at a time, so that a slab holds at most
-    ``_TABLE_BLOCK`` entries.
+    ``_TABLE_BLOCK`` entries.  Tables of more entries than numpy can
+    index raise ``ResourceCapExceededError`` before anything is built.
     """
     if C.alphabet != G.alphabet:
         raise AlphabetMismatchError("bar construction needs a shared alphabet")
     if C.neighborhood.dimension != G.neighborhood.dimension:
         raise NeighborhoodMismatchError("bar construction needs a shared dimension")
     shared = C.neighborhood.union(G.neighborhood).symmetrized_with_origin()
-    delta = with_neighborhood(C, shared)
-    gamma = with_neighborhood(G, shared)
     q = C.q
     alphabet = bar_alphabet(q)
     center = shared.offsets.index(shared.origin)
     arity = len(shared)
     size = alphabet.size
+    # checked before widening, which alone can take minutes at large q
+    if size**arity > np.iinfo(np.intp).max:
+        raise ResourceCapExceededError(
+            f"bar tables need {size}^{arity} entries, more than numpy can index ({np.iinfo(np.intp).max})"
+        )
+    delta = with_neighborhood(C, shared)
+    gamma = with_neighborhood(G, shared)
 
     # per bar code, in intp: a bar code reaches 3q^2 - 1, which wraps in
     # the base tables' narrow dtype

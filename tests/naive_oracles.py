@@ -182,6 +182,25 @@ def naive_least_purely_witness(offsets, q, delta, gamma):
     return None
 
 
+def naive_first_conflict(offsets, q, table):
+    """The first conflict in deriving an inverse candidate over offsets
+    that hold 0: the local configurations are walked in index order, and
+    the walk stops at the first one the rule changes at 0 onto an image
+    that an earlier change already produced.  Returns (image, the earlier
+    source, its center, this source, its center), or None."""
+    center = offsets.index(0)
+    hit = {}
+    for idx, local in enumerate(product(range(q), repeat=len(offsets))):
+        out = table[idx]
+        if out == local[center]:
+            continue
+        image = local[:center] + (out,) + local[center + 1 :]
+        if image in hit:
+            return image, hit[image], hit[image][center], local, local[center]
+        hit[image] = local
+    return None
+
+
 def all_tables(q, arity):
     return product(range(q), repeat=q ** arity)
 

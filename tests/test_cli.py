@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -202,6 +203,44 @@ class TestNakamura:
         doc = json.loads(result.stdout)
         assert doc["verdict"] == "invertible"
         assert doc["stats"]["windows"] == 12 ** 5
+
+    def test_oversized_pair_exits_two_at_once(self, run_cli, tmp_path, capsys):
+        """The q = 10^4 shift pair's bar tables would hold (3·10^8)^3
+        entries, past what numpy can index, so the build refuses before it
+        widens the base rules (which alone took over a minute)."""
+        q = 10**4
+        paths = []
+        for name, offset, shift in (("shift.json", -1, 1), ("unshift.json", 1, -1)):
+            path = tmp_path / name
+            path.write_text(json.dumps({"dimension": 1, "alphabet": q, "neighborhood": [[offset]],
+                                        "table": [(x + shift) % q for x in range(q)]}))
+            paths.append(str(path))
+        t0 = time.perf_counter()
+        result = run_cli("nakamura", "--rule", paths[0], "--inverse", paths[1],
+                         "--out-dir", str(tmp_path / "bar"), "--verify")
+        assert time.perf_counter() - t0 < 10
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert capsys.readouterr().err.startswith("error: bar tables need 300000000^3 entries")
+        assert not (tmp_path / "bar").exists()
+
+    def test_build_out_of_memory_exits_two(self, run_cli, tmp_path, capsys, monkeypatch):
+        """A table numpy can index may still not fit (the q = 64 shift pair
+        asks for 3.38 TiB); the build's MemoryError is a one-line error.
+        The build is replaced, so nothing large is allocated."""
+        from acainvert import cli
+
+        def out_of_memory(C, G):
+            raise MemoryError("Unable to allocate 3.38 TiB for an array with shape (1855425871872,)")
+
+        monkeypatch.setattr(cli, "build_bar_pair", out_of_memory)
+        result = run_cli("nakamura", "--rule", write_wolfram(tmp_path, "rule.json", 170),
+                         "--inverse", write_wolfram(tmp_path, "inverse.json", 240),
+                         "--out-dir", str(tmp_path / "bar"))
+        assert (result.exit_code, result.stdout) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "error: bar tables do not fit in memory: Unable to allocate 3.38 TiB " \
+                      "for an array with shape (1855425871872,)\n"
+        assert not (tmp_path / "bar").exists()
 
     def test_verify_builds_the_pair_once(self, run_cli, tmp_path, monkeypatch):
         from acainvert import cli, nakamura

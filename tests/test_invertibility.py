@@ -27,6 +27,7 @@ from acainvert.errors import (
     ResourceCapExceededError,
 )
 from acainvert import invertibility
+from acainvert.core import add_cells
 from acainvert.invertibility import (
     DerivationConflict,
     Verdict,
@@ -44,6 +45,7 @@ from naive_oracles import (
     all_tables,
     naive_check_fully,
     naive_check_purely,
+    naive_first_conflict,
     naive_least_fully_witness,
     naive_least_purely_witness,
 )
@@ -398,6 +400,38 @@ def test_sweep_block_does_not_change_results(monkeypatch, block):
     assert [check_inverse_purely(C, G).to_dict() for C, G in ordered] == default
 
 
+def test_every_set_sweep_returns_a_window_that_replays(monkeypatch):
+    """Each activation set D of each ``sweep_block_pairs()`` pair is swept
+    on its own, in both directions.  A row it returns is a window over T,
+    0 outside D + M, whose cells the first rule changes at exactly D and
+    the second does not restore; a block of one row returns the same rows."""
+
+    def sweeps():
+        for C, G in sweep_block_pairs():
+            cells, family, _, sweep = invertibility._purely_sets(C, G, 1 << 62)
+            for backward in (False, True):
+                for i, active in enumerate(family):
+                    row = sweep(backward, i, None)
+                    yield C, G, backward, cells, active, None if row is None else tuple(row.tolist())
+
+    swept = list(sweeps())
+    witnesses = 0
+    for C, G, backward, cells, active, row in swept:
+        if row is None:
+            continue
+        witnesses += 1
+        A, B = (G, C) if backward else (C, G)
+        reads = {add_cells(c, m) for c in active for m in {C.neighborhood.origin, *C.neighborhood.offsets}}
+        assert all(state == 0 for cell, state in zip(cells, row) if cell not in reads)
+        w = WindowConfig(cells, row)
+        stepped = step(A, w, active)
+        assert difference(w, stepped) == frozenset(active)
+        assert step(B, stepped, active) != w
+    assert witnesses
+    monkeypatch.setattr(invertibility, "_SWEEP_BLOCK", 1)
+    assert [row for *_, row in sweeps()] == [row for *_, row in swept]
+
+
 def test_padded_bar_pair_holds_in_smaller_blocks(monkeypatch):
     """The last ``bar_table_inputs()`` pair, on (-2, ..., 2), has 12^9
     windows, so it runs at one block size only: a quarter of the default.
@@ -518,13 +552,13 @@ def test_tie_on_the_least_window_goes_to_the_earlier_set(offsets, delta, gamma, 
     bound; the earlier three-cell set must still win the tie."""
     C = rule_of(delta, *offsets)
     G = rule_of(gamma, *offsets)
-    _, family, plans, sweep = invertibility._purely_sets(C, G, 1 << 62)
+    _, family, weights, sweep = invertibility._purely_sets(C, G, 1 << 62)
     backward = clause == "purely-backward"
     least = {}
     for i in range(len(family)):
         row = sweep(backward, i, None)
         if row is not None:
-            least[i] = int(row @ plans[i].weights)
+            least[i] = int(row @ weights)
     window = min(least.values())
     ties = [i for i in sorted(least) if least[i] == window]
     assert len(family[ties[0]]) == 3 and any(len(family[i]) == 2 for i in ties[1:])
@@ -697,6 +731,28 @@ def test_derivation_conflict_witnesses_replay(decide):
         replayed[rule.neighborhood.origin in minimize_neighborhood(rule).neighborhood] += 1
     # the minimized neighborhood holds 0 for some conflicts and lacks it for others
     assert replayed[True] >= 10 and replayed[False] >= 10, replayed
+
+
+def test_derivation_conflict_sources_match_naive_walk():
+    """With 0 in the minimized neighborhood, the whole conflict (image,
+    both sources and their centers) is the first one a walk of the table
+    in index order meets."""
+    checked = 0
+    for rule in conflict_rules():
+        mini = minimize_neighborhood(rule)
+        if mini.neighborhood.origin not in mini.neighborhood:
+            continue
+        conflict = derive_candidate_inverse(mini)
+        offsets = tuple(c[0] for c in mini.neighborhood.offsets)
+        assert (
+            conflict.observed,
+            conflict.first_source,
+            conflict.first_value,
+            conflict.second_source,
+            conflict.second_value,
+        ) == naive_first_conflict(offsets, mini.q, mini.table), rule
+        checked += 1
+    assert checked >= 10
 
 
 def test_derivations_without_center_golden_digest():
