@@ -47,6 +47,7 @@ Clause identifiers carried by witnesses:
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -93,6 +94,10 @@ DEFAULT_WINDOW_CAP = 1 << 24
 
 # the purely sweep's cut computes window indices in int64 (rows @ weights)
 _INDEX_LIMIT = 1 << 62
+
+# two_predecessor_witness refuses windows of more cells; printing one this large
+# through the CLI peaks near 1 GB
+_WITNESS_CELLS = 1 << 20
 
 
 class Verdict(str, Enum):
@@ -672,6 +677,8 @@ def two_predecessor_witness(rule: LocalRule) -> TwoPredecessorWitness | None:
     exists.  Otherwise two far-apart copies of the least flipping local
     configuration are laid out on a background of zeros; flipping either
     copy's center in advance makes both windows step to the same successor.
+    The windows fill the bounding box of both copies; a box of more than
+    ``_WITNESS_CELLS`` cells raises ``ResourceCapExceededError``.
     """
     if rule.neighborhood.origin not in rule.neighborhood:
         raise CenterNotInNeighborhoodError("witness construction needs offset 0 in the neighborhood")
@@ -699,6 +706,9 @@ def two_predecessor_witness(rule: LocalRule) -> TwoPredecessorWitness | None:
     used = [add_cells(near, n) for n in offsets] + [add_cells(far, n) for n in offsets]
     lo = [min(c[axis] for c in used) for axis in range(dim)]
     hi = [max(c[axis] for c in used) for axis in range(dim)]
+    cells = math.prod(b - a + 1 for a, b in zip(lo, hi))
+    if cells > _WITNESS_CELLS:
+        raise ResourceCapExceededError(f"witness window spans {cells} cells, more than {_WITNESS_CELLS}")
     box = [tuple(c) for c in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))]
     base = {cell: 0 for cell in box}
     for j, n in enumerate(offsets):

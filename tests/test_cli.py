@@ -283,6 +283,18 @@ class TestWitnessR2:
         assert doc["second"]["states"] == [0, 0, 0, 0, 0, 1, 0]
         assert doc["second_active"] == [-2]
 
+    def test_far_offsets_exit_two_at_once(self, run_cli, tmp_path, capsys):
+        """Offsets (0, 10^7) would fill a 10^7-cell window (gigabytes); the
+        construction refuses before building it."""
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"dimension": 1, "alphabet": 2, "neighborhood": [[0], [10**7]],
+                                    "table": [1, 0, 1, 0]}))
+        t0 = time.perf_counter()
+        result = run_cli("witness-r2", "--rule", str(path))
+        assert time.perf_counter() - t0 < 10
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert capsys.readouterr().err == "error: witness window spans 10000003 cells, more than 1048576\n"
+
 
 class TestSimulate:
     def test_same_seed_reproduces_text(self, run_cli):

@@ -437,14 +437,20 @@ class TestLocalConfig:
 
 
 def test_package_exports_match_module_all():
-    """The package exports exactly the names its modules list in ``__all__``."""
-    listed = set()
+    """The package exports exactly the names its modules list in ``__all__``;
+    each name is listed by one module and is that module's object (a name
+    listed twice would silently bind the later module's)."""
+    owner = {}
     for info in pkgutil.iter_modules(acainvert.__path__):
         module = importlib.import_module(f"acainvert.{info.name}")
-        listed |= set(getattr(module, "__all__", ()))
+        for name in getattr(module, "__all__", ()):
+            assert name not in owner, (name, owner[name].__name__, module.__name__)
+            owner[name] = module
     exported = {
         name for name, value in vars(acainvert).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert sorted(listed - exported) == []
-    assert sorted(exported - listed) == []
+    assert sorted(set(owner) - exported) == []
+    assert sorted(exported - set(owner)) == []
+    for name, module in owner.items():
+        assert getattr(acainvert, name) is getattr(module, name), (name, module.__name__)

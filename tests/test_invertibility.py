@@ -937,6 +937,18 @@ class TestTwoPredecessorWitness:
             merged_second = step(rule, wit.second, [wit.second_active])
             assert merged_first == merged_second
 
+    def test_box_past_the_bound_is_refused(self, monkeypatch):
+        """On offsets (0, D) the windows span -1 .. D + 1, so D + 3 cells;
+        past the bound the construction refuses before filling the box."""
+        monkeypatch.setattr(invertibility, "_WITNESS_CELLS", 100)
+        for far in (90, 97):
+            wit = two_predecessor_witness(rule_of([1, 0, 1, 0], 0, far))
+            assert len(wit.first.cells) == far + 3
+        for far in (98, 1000):
+            message = f"^witness window spans {far + 3} cells, more than 100$"
+            with pytest.raises(ResourceCapExceededError, match=message):
+                two_predecessor_witness(rule_of([1, 0, 1, 0], 0, far))
+
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(0, 255), g=st.integers(0, 255))
