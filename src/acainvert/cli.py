@@ -89,6 +89,8 @@ def _cmd_classify_eca(args: argparse.Namespace) -> int:
     if args.csv:
         Path(args.csv).write_text(report.to_csv())
     if args.diff:
+        if refused := sum(e.verdict is Verdict.RESOURCE_CAP_EXCEEDED for e in report.entries):
+            raise ResourceCapExceededError(f"{refused} rules exceed the window cap, so the diff is undecided")
         missing, extra = diff_against_reference(report)
         _print_json({"scheme": args.scheme, "missing": list(missing), "extra": list(extra)})
         return EXIT_OK if not missing and not extra else EXIT_NEGATIVE
@@ -174,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write the JSON report here")
     p.add_argument("--csv", metavar="FILE", help="write the CSV report here")
     p.add_argument("--diff", action="store_true",
-                   help="print the diff against the built-in reference list; exit 3 when non-empty")
+                   help="print the diff against the built-in reference list; exit 3 when non-empty, "
+                   "2 when the cap refuses any rule")
     _add_cap_flag(p)
     p.set_defaults(fn=_cmd_classify_eca)
 
@@ -210,10 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (CaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -17,8 +17,10 @@ Neither check enumerates Q^T.  Each reads both rules widened by
 configuration's table index is its own mixed-radix value.  The purely
 clause for an activation set D reads only the cells S = D ∪ (D+N), so its
 least violating window is 0 outside S; the check sweeps each D on its
-own, in bounded blocks of numpy rows that are windows over T, assigning
-the cells of S one at a time in window order and leaving the others 0.
+own, in blocks of numpy rows that are windows over T, assigning the
+cells of S one at a time in window order and leaving the others 0; a
+block of several rows that would make more than a fixed number of
+children is halved first, which bounds memory for any q^|T|.
 The sets with at most two cells decide the verdict (the proof is in
 ``check_inverse_purely``), so they are swept first; the larger sets are
 swept only for a direction that fails, to find its least witness.  A
@@ -237,13 +239,13 @@ def _purely_sweep(q: int, weights: np.ndarray, plan, flips, tab2, bound: int | N
     row's other reads of M; every other position of S gets all q digits.
     Children follow their parent, in digit order, so every block of rows
     stays lexicographically sorted.  Blocks wait on a stack, least on top,
-    so the first violation found is the least.  A block is extended at
-    once only while it makes at most ``_SWEEP_BLOCK`` children (n·q of n
-    rows at a position without a test, the flip counts of their reads at
-    a test position); a larger one is split into runs of parents that each
-    make at most that many, or one parent, which makes at most q.  A run
-    split at a test position keeps its reads' flip-table rows, so they are
-    not read again.
+    so the first violation found is the least.  One rule bounds memory: a
+    block of n > 1 rows that would make more than ``_SWEEP_BLOCK``
+    children (n·q at a position without a test, the flip counts of its
+    reads at a test position) is halved by rows, lower half on top, and
+    each half keeps its reads' flip-table rows, so they are not read
+    again.  So a block of more than one row is never extended into more
+    than ``_SWEEP_BLOCK`` rows, and one row makes at most q.
     """
     positions, tests, undo = plan
     counts, ends, flip_digits, flip_states = flips
@@ -257,28 +259,22 @@ def _purely_sweep(q: int, weights: np.ndarray, plan, flips, tab2, bound: int | N
         n = len(rows)
         col = positions[level]
         test = tests[level]
-        if test is None:
-            if n > 1 and n * q > _SWEEP_BLOCK:
-                size = max(1, _SWEEP_BLOCK // q)
-                stack.extend((level, rows[lo : lo + size], None) for lo in reversed(range(0, n, size)))
-                continue
-            rows = rows.repeat(q, axis=0)
-            # repeat returns a fresh C-ordered array, so this reshape is a view
-            rows.reshape(n, q, -1)[:, :, col] = digits
-        else:
+        if test is not None:
             reads, out_col = test
             if prefix is None:
                 prefix = _local_indices(rows, reads, q)
             count = counts[prefix]
             total = count.cumsum()
-            # n·q bounds the children, so a small block never reads their count
-            if n > 1 and n * q > _SWEEP_BLOCK and total[-1] > _SWEEP_BLOCK:
-                cuts = [0]
-                while cuts[-1] < n:
-                    made = total[cuts[-1] - 1] if cuts[-1] else 0
-                    cuts.append(max(cuts[-1] + 1, int(np.searchsorted(total, made + _SWEEP_BLOCK, "right"))))
-                stack.extend((level, rows[a:b], prefix[a:b]) for a, b in reversed(list(zip(cuts, cuts[1:]))))
-                continue
+        # n·q bounds the children, so a small block never reads their count
+        if n > 1 and n * q > _SWEEP_BLOCK and (test is None or total[-1] > _SWEEP_BLOCK):
+            for half in (slice(n // 2, None), slice(n // 2)):
+                stack.append((level, rows[half], None if test is None else prefix[half]))
+            continue
+        if test is None:
+            rows = rows.repeat(q, axis=0)
+            # repeat returns a fresh C-ordered array, so this reshape is a view
+            rows.reshape(n, q, -1)[:, :, col] = digits
+        else:
             rows = rows.repeat(count, axis=0)
             # child j of a parent takes flip entry ends[prefix] - count + j
             slot = np.arange(len(rows)) + (ends[prefix] - total).repeat(count)

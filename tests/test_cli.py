@@ -163,6 +163,16 @@ class TestClassifyEca:
         # a rule that minimizes to the center alone needs only 2
         assert doc["entries"][204]["verdict"] == "invertible"
 
+    def test_capped_diff_is_a_cap_error(self, run_cli, tmp_path, capsys):
+        """A rule the cap refuses has no verdict to compare, so the diff
+        exits 2 with the refusal count on stderr, not 3 with a diff;
+        the report files are still written."""
+        out = tmp_path / "atlas.json"
+        result = run_cli("classify-eca", "--scheme", "purely", "--cap", "8", "--out", str(out), "--diff")
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert "228 rules exceed the window cap" in capsys.readouterr().err
+        assert len(json.loads(out.read_text())["entries"]) == 256
+
 
 class TestNakamura:
     def test_writes_bar_pair_files(self, run_cli, tmp_path):

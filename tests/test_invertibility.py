@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,7 +50,7 @@ from naive_oracles import (
     naive_least_fully_witness,
     naive_least_purely_witness,
 )
-from test_nakamura import bar_pair_inputs, bar_table_inputs, planar_inputs
+from test_nakamura import bar_pair_inputs, bar_table_inputs, planar_inputs, shift_pair
 
 
 def rule_of(table, *offsets, q=2):
@@ -389,15 +390,66 @@ def sweep_block_pairs():
     return pairs
 
 
+@pytest.fixture
+def expansions(monkeypatch):
+    """(rows in, rows out) of every block the purely sweep extends.  The
+    sweep makes its first row with ``invertibility.np.zeros``; a module
+    proxy returns it as an ndarray subclass, which every slice and repeat
+    of it inherits, whose 2-D ``repeat`` logs its rows in and out."""
+    log = []
+
+    class Rows(np.ndarray):
+        def repeat(self, repeats, axis=None):
+            out = super().repeat(repeats, axis)
+            if self.ndim == 2:
+                log.append((len(self), len(out)))
+            return out
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def zeros(*args, **kwargs):
+            return np.zeros(*args, **kwargs).view(Rows)
+
+    monkeypatch.setattr(invertibility, "np", Numpy())
+    return log
+
+
+def assert_block_bound(log, q):
+    """The memory bound of the purely sweep: a block of more than one row
+    is never extended into more than ``_SWEEP_BLOCK`` rows, while one row
+    may make up to q."""
+    assert log
+    block = invertibility._SWEEP_BLOCK
+    assert all(out <= (block if n > 1 else q) for n, out in log), (block, q, max(log, key=lambda e: e[1]))
+
+
 @pytest.mark.parametrize("block", [1, 3, 64])
-def test_sweep_block_does_not_change_results(monkeypatch, block):
-    """Blocks split at test columns (by the children the rows make), at
-    other columns (by n·q) and by the cut across activation sets; none of
-    it may change a verdict or a witness, in either direction."""
+def test_sweep_block_does_not_change_results(monkeypatch, expansions, block):
+    """A block of more than one row that would make more than
+    ``_SWEEP_BLOCK`` children (n·q of n rows at a column without a test,
+    the flips their reads allow at a test column) is halved by rows, and
+    the bound cut across activation sets drops rows too; none of it may
+    change a verdict or a witness, in either direction, or break the
+    sweep's memory bound."""
     ordered = [(C, G) for pair in sweep_block_pairs() for C, G in (pair, pair[::-1])]
     default = [check_inverse_purely(C, G).to_dict() for C, G in ordered]
     monkeypatch.setattr(invertibility, "_SWEEP_BLOCK", block)
-    assert [check_inverse_purely(C, G).to_dict() for C, G in ordered] == default
+    for (C, G), expected in zip(ordered, default):
+        expansions.clear()
+        assert check_inverse_purely(C, G).to_dict() == expected
+        assert_block_bound(expansions, C.q)
+
+
+def test_shift_bar_pair_keeps_the_block_bound(expansions):
+    """The q = 4 shift pair's bar pair (48 states) splits blocks at test
+    columns at the default block size."""
+    pair = build_bar_pair(*shift_pair(4))
+    report = check_inverse_purely(pair.forward, pair.backward, cap=1 << 62)
+    assert report.verdict is Verdict.INVERTIBLE
+    assert_block_bound(expansions, pair.forward.q)
 
 
 def test_every_set_sweep_returns_a_window_that_replays(monkeypatch):
@@ -432,7 +484,7 @@ def test_every_set_sweep_returns_a_window_that_replays(monkeypatch):
     assert [row for *_, row in sweeps()] == [row for *_, row in swept]
 
 
-def test_padded_bar_pair_holds_in_smaller_blocks(monkeypatch):
+def test_padded_bar_pair_holds_in_smaller_blocks(monkeypatch, expansions):
     """The last ``bar_table_inputs()`` pair, on (-2, ..., 2), has 12^9
     windows, so it runs at one block size only: a quarter of the default.
     Both directions are invertible, as the construction claims, so the
@@ -442,8 +494,10 @@ def test_padded_bar_pair_holds_in_smaller_blocks(monkeypatch):
     monkeypatch.setattr(invertibility, "_SWEEP_BLOCK", invertibility._SWEEP_BLOCK // 4)
     pair = build_bar_pair(*bar_table_inputs()[-1])
     for C, G in ((pair.forward, pair.backward), (pair.backward, pair.forward)):
+        expansions.clear()
         report = check_inverse_purely(C, G, cap=1 << 62)
         assert (report.verdict, report.inverse, report.witness) == (Verdict.INVERTIBLE, G, None)
+        assert_block_bound(expansions, C.q)
 
 
 def set_holds(C, G):
