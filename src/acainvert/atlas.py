@@ -2,6 +2,10 @@
 
 The reference lists of invertible Wolfram numbers are compiled in; a
 mismatch against them is a reportable diff, never silently accepted.
+``AtlasReport.entries`` holds each rule's ``DecisionReport``, rule n at
+index n.  The JSON and CSV forms have one row per rule: rule, verdict,
+inverse (its Wolfram number, found as the row is written), windows (JSON
+only) and millis.
 """
 
 from __future__ import annotations
@@ -12,8 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .core import LocalRule, eca_from_wolfram, wolfram_number
-from .errors import NotElementaryError
+from .core import eca_from_wolfram, wolfram_number
 from .invertibility import (
     DEFAULT_WINDOW_CAP,
     DecisionReport,
@@ -21,12 +24,10 @@ from .invertibility import (
     decide_fully_1d,
     decide_purely,
 )
-from .rulefmt import rule_to_dict
 
 __all__ = [
     "PURELY_INVERTIBLE_ECA",
     "FULLY_INVERTIBLE_ECA",
-    "AtlasEntry",
     "AtlasReport",
     "classify_all_eca",
     "diff_against_reference",
@@ -47,40 +48,26 @@ SCHEMES = ("purely", "fully")
 
 
 @dataclass(frozen=True)
-class AtlasEntry:
-    rule: int
-    verdict: Verdict
-    inverse: int | LocalRule | None
-    windows: int
-    millis: float
-
-    def inverse_json(self) -> Any:
-        if self.inverse is None or isinstance(self.inverse, int):
-            return self.inverse
-        return rule_to_dict(self.inverse)
-
-
-@dataclass(frozen=True)
 class AtlasReport:
     scheme: str
-    entries: tuple[AtlasEntry, ...]
+    entries: tuple[DecisionReport, ...]  # rule n at index n
 
     @property
     def summary(self) -> tuple[int, ...]:
-        return tuple(e.rule for e in self.entries if e.verdict is Verdict.INVERTIBLE)
+        return tuple(n for n, e in enumerate(self.entries) if e.verdict is Verdict.INVERTIBLE)
 
     def to_dict(self, timings: bool = False) -> dict[str, Any]:
         return {
             "scheme": self.scheme,
             "entries": [
                 {
-                    "rule": e.rule,
+                    "rule": n,
                     "verdict": e.verdict.value,
-                    "inverse": e.inverse_json(),
-                    "windows": e.windows,
-                    "millis": int(round(e.millis)) if timings else 0,
+                    "inverse": wolfram_number(e.inverse) if e.inverse is not None else None,
+                    "windows": e.stats.windows,
+                    "millis": int(round(e.stats.millis)) if timings else 0,
                 }
-                for e in self.entries
+                for n, e in enumerate(self.entries)
             ],
             "summary": list(self.summary),
         }
@@ -92,32 +79,9 @@ class AtlasReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["rule", "verdict", "inverse", "millis"])
-        for e in self.entries:
-            inverse = e.inverse_json()
-            if inverse is None:
-                text = ""
-            elif isinstance(inverse, int):
-                text = str(inverse)
-            else:
-                text = json.dumps(inverse, separators=(",", ":"))
-            writer.writerow([e.rule, e.verdict.value, text, int(round(e.millis)) if timings else 0])
+        for row in self.to_dict(timings=timings)["entries"]:
+            writer.writerow([row["rule"], row["verdict"], row["inverse"], row["millis"]])  # None writes as ""
         return buf.getvalue()
-
-
-def _entry_from_report(rule: int, report: DecisionReport) -> AtlasEntry:
-    inverse: int | LocalRule | None = None
-    if report.inverse is not None:
-        try:
-            inverse = wolfram_number(report.inverse)
-        except NotElementaryError:
-            inverse = report.inverse
-    return AtlasEntry(
-        rule=rule,
-        verdict=report.verdict,
-        inverse=inverse,
-        windows=report.stats.windows,
-        millis=report.stats.millis,
-    )
 
 
 def classify_all_eca(scheme: str, *, cap: int = DEFAULT_WINDOW_CAP) -> AtlasReport:
@@ -125,9 +89,7 @@ def classify_all_eca(scheme: str, *, cap: int = DEFAULT_WINDOW_CAP) -> AtlasRepo
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     decider = decide_purely if scheme == "purely" else decide_fully_1d
-    entries = tuple(
-        _entry_from_report(n, decider(eca_from_wolfram(n), window_cap=cap)) for n in range(256)
-    )
+    entries = tuple(decider(eca_from_wolfram(n), window_cap=cap) for n in range(256))
     return AtlasReport(scheme=scheme, entries=entries)
 
 

@@ -139,8 +139,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rule = _load_source(args)
     if args.size < 1:
         raise CaError("lattice size must be at least 1")
-    if args.steps < 0:
-        raise CaError("step count must be non-negative")
     init_rng = random.Random(f"{args.seed}:init")
     initial = [init_rng.randrange(rule.q) for _ in range(args.size)]
     trace = simulate(rule, initial, args.scheme, args.steps, args.seed, p=args.p)

@@ -166,12 +166,12 @@ def test_criterion_5_invariant_suite(purely_atlas, fully_atlas, capsys):
             assert minimize_neighborhood(mini) == mini
 
         # dummy offsets change no verdict
-        for entry, rule in zip(purely_atlas.entries, rules):
+        for n, (entry, rule) in enumerate(zip(purely_atlas.entries, rules)):
             padded = with_neighborhood(rule, PADDED_NEIGHBORHOOD)
-            assert decide_purely(padded).verdict is entry.verdict, entry.rule
-        for entry, rule in zip(fully_atlas.entries, rules):
+            assert decide_purely(padded).verdict is entry.verdict, n
+        for n, (entry, rule) in enumerate(zip(fully_atlas.entries, rules)):
             padded = with_neighborhood(rule, PADDED_NEIGHBORHOOD)
-            assert decide_fully_1d(padded).verdict is entry.verdict, entry.rule
+            assert decide_fully_1d(padded).verdict is entry.verdict, n
 
         # every rule that flips anything maps two windows to one successor
         for n, rule in enumerate(rules):

@@ -25,7 +25,7 @@ UNREADABLE = {
 }
 
 
-@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("cap", ["0", "-3", "abc"])
 @pytest.mark.parametrize("command", ["decide-purely", "decide-fully", "classify-eca", "nakamura-verify"])
 def test_non_positive_cap_exits_two_before_any_work(run_cli, tmp_path, command, cap):
     if command == "nakamura-verify":
@@ -305,6 +305,13 @@ class TestWitnessR2:
         assert (result.exit_code, result.stdout) == (2, "")
         assert capsys.readouterr().err == "error: witness window spans 10000003 cells, more than 1048576\n"
 
+    def test_neighborhood_without_origin_exits_two(self, run_cli, tmp_path, capsys):
+        path = tmp_path / "shift.json"
+        path.write_text(json.dumps({"dimension": 1, "alphabet": 2, "neighborhood": [[1]], "table": [1, 0]}))
+        result = run_cli("witness-r2", "--rule", str(path))
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert capsys.readouterr().err == "error: witness construction needs offset 0 in the neighborhood\n"
+
 
 class TestSimulate:
     def test_same_seed_reproduces_text(self, run_cli):
@@ -326,6 +333,18 @@ class TestSimulate:
                          "--size", "8", "--steps", "1", "--seed", "1")
         assert result.stdout.splitlines()[0] == "scheme=fully seed=1"
 
+    def test_text_separates_states_when_q_exceeds_ten(self, run_cli, tmp_path):
+        # the identity on 11 states: no state changes, and 10 needs two digits
+        path = tmp_path / "q11.json"
+        path.write_text(json.dumps({"dimension": 1, "alphabet": 11, "neighborhood": [[0]], "table": list(range(11))}))
+        result = run_cli("simulate", "--rule", str(path), "--scheme", "fully",
+                         "--size", "4", "--steps", "1", "--seed", "3")
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
+        initial = lines[1].removeprefix("t=0 ")
+        assert len(initial.split(",")) == 4 and all(0 <= int(s) <= 10 for s in initial.split(","))
+        assert lines[2].startswith(f"t=1 {initial} active=[")
+
     def test_json_format(self, run_cli):
         result = run_cli("simulate", "--wolfram", "90", "--scheme", "fully",
                          "--size", "6", "--steps", "3", "--seed", "5", "--format", "json")
@@ -346,6 +365,12 @@ class TestSimulate:
         result = run_cli("simulate", "--wolfram", "110", "--scheme", "purely",
                          "--size", "8", "--steps", "1", "--seed", "1", flag, value)
         assert (result.exit_code, result.stdout) == (2, "")
+
+    def test_negative_steps_exit_two(self, run_cli, capsys):
+        result = run_cli("simulate", "--wolfram", "110", "--scheme", "purely",
+                         "--size", "8", "--steps", "-1", "--seed", "1")
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert capsys.readouterr().err == "error: step count must be non-negative, got -1\n"
 
     def test_bad_probability_exits_two(self, run_cli):
         result = run_cli("simulate", "--wolfram", "110", "--scheme", "purely",

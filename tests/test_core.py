@@ -147,7 +147,7 @@ class TestLocalRuleValue:
     TABLE = (0, 1, 1, 0, 1, 1, 1, 0)  # rule 110
 
     def forms(self):
-        return [self.TABLE, list(self.TABLE), np.array(self.TABLE, dtype=np.int64)]
+        return [self.TABLE, list(self.TABLE), np.array(self.TABLE, dtype=np.int64), np.array(self.TABLE, dtype=object)]
 
     def test_forms_are_equal_and_hash_equal(self):
         rules = [LocalRule(Alphabet(2), ECA_NEIGHBORHOOD, t) for t in self.forms()]

@@ -23,6 +23,7 @@ from acainvert import (
     wolfram_number,
 )
 from acainvert.errors import (
+    AlphabetMismatchError,
     NeighborhoodMismatchError,
     NotOneDimensionalError,
     ResourceCapExceededError,
@@ -158,6 +159,12 @@ class TestFullyTestWindow:
         C = rule_of([0, 1, 1, 0], 0, far)
         with pytest.raises(ResourceCapExceededError):
             check_inverse_fully_1d(C, C)
+
+
+@pytest.mark.parametrize("check", [check_inverse_purely, check_inverse_fully_1d])
+def test_alphabet_mismatch(check):
+    with pytest.raises(AlphabetMismatchError):
+        check(rule_of([1, 0], 0), rule_of([0, 1, 2], 0, q=3))
 
 
 class TestCheckInversePurely:

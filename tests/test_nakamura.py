@@ -161,6 +161,11 @@ class TestBuildBarPair:
         with pytest.raises(AlphabetMismatchError):
             build_bar_pair(eca_from_wolfram(51), q3)
 
+    def test_dimension_mismatch(self):
+        square = LocalRule(Alphabet(2), Neighborhood(2, ((0, 0),)), (0, 1))
+        with pytest.raises(NeighborhoodMismatchError):
+            build_bar_pair(eca_from_wolfram(51), square)
+
     @pytest.mark.parametrize("n,g", INVERSE_PAIRS + [(110, 110)])
     def test_every_entry_holds_or_steps_once(self, n, g):
         # Forward either keeps the cell or advances the stamp by one while

@@ -103,6 +103,10 @@ def test_integer_offsets_accepted():
             {"dimension": 1, "alphabet": 2, "neighborhood": [[False]], "table": [0, 1]},
             id="bool-coordinate",
         ),
+        pytest.param(
+            {"dimension": 1, "alphabet": 2, "neighborhood": "[[0]]", "table": [0, 1]},
+            id="str-neighborhood",
+        ),
     ],
 )
 def test_malformed_rules_rejected(doc):
