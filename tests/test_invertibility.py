@@ -1011,6 +1011,44 @@ class TestTwoPredecessorWitness:
                 two_predecessor_witness(rule_of([1, 0, 1, 0], 0, far))
 
 
+def witness_sample_rules():
+    """600 seeded rules in 1-3 dimensions at q in {2, 3}: offset 0 plus up
+    to three offsets in [-3, 3]^d, each entry flipped with probability 0.3
+    (to a state other than its center's), else mapped to its center."""
+    rng = random.Random(2121)
+    rules = []
+    for _ in range(600):
+        dim, q = rng.randint(1, 3), rng.choice((2, 3))
+        others = {tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 3))}
+        neighborhood = Neighborhood(dim, tuple(others | {(0,) * dim}))
+        weight = q ** (len(neighborhood) - 1 - neighborhood.offsets.index((0,) * dim))
+        table = []
+        for idx in range(q ** len(neighborhood)):
+            center = idx // weight % q
+            table.append(rng.choice([s for s in range(q) if s != center]) if rng.random() < 0.3 else center)
+        rules.append(LocalRule(Alphabet(q), neighborhood, table))
+    return rules
+
+
+def all_eca_rules():
+    return [eca_from_wolfram(n) for n in range(256)]
+
+
+@pytest.mark.parametrize(
+    "rules,digest",
+    [
+        (witness_sample_rules, "9c20dbcd76be185127c34d54d868ea6f60012d6adb50a0ccf268a932c8250968"),
+        (all_eca_rules, "67ee30f118d68a53287e744812c4d182c3813dbc6684065ad60f88e1d86eef03"),
+    ],
+    ids=["seeded_1_to_3_dims", "all_eca"],
+)
+def test_witness_golden_digest(rules, digest):
+    """Pins every witness window, cell for cell, in one to three dimensions;
+    recorded with the construction that filled a dict of the whole box."""
+    docs = [None if w is None else w.to_dict() for w in map(two_predecessor_witness, rules())]
+    assert sha256_of(docs) == digest
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(0, 255), g=st.integers(0, 255))
 def test_purely_check_symmetry_property(n, g):
