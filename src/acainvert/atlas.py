@@ -1,7 +1,9 @@
 """Classification of all 256 elementary rules under both update schemes.
 
-The reference lists of invertible Wolfram numbers are compiled in; a
-mismatch against them is a reportable diff, never silently accepted.
+The reference lists of invertible Wolfram numbers are compiled in, in
+this package's numbering (the 8-bit reversal of Wolfram's standard code;
+see ``core``); a mismatch against them is a reportable diff, never
+silently accepted.
 ``AtlasReport.entries`` holds each rule's ``DecisionReport``, rule n at
 index n.  The JSON and CSV forms have one row per rule: rule, verdict,
 inverse (its Wolfram number, found as the row is written), windows (JSON

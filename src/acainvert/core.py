@@ -8,6 +8,13 @@ That is the C order of the axis view ``array.reshape((q,) * k)``, whose
 axis j reads offset j, so widening and minimizing a rule add and drop
 axes.  An elementary rule's entry ``i`` is bit ``7 - i`` of its Wolfram
 number, so ``table[i] = (number >> (7 - i)) & 1``.
+
+That "Wolfram number" is this package's own: the 8-bit reversal of
+Wolfram's standard code, which gives entry ``i`` bit ``i``.  Here 110 is
+standard 118, 204 (negate the center) is standard 51, and 51 (the
+identity) is standard 204.  Every elementary rule number the package
+reads or writes uses it, including ``atlas.PURELY_INVERTIBLE_ECA`` and
+``atlas.FULLY_INVERTIBLE_ECA``.
 """
 
 from __future__ import annotations
@@ -231,11 +238,6 @@ class WindowConfig:
         object.__setattr__(self, "states", tuple(int(p[1]) for p in pairs))
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping[Cell, int]) -> "WindowConfig":
-        items = sorted(mapping.items())
-        return cls(tuple(c for c, _ in items), tuple(v for _, v in items))
-
-    @classmethod
     def line(cls, states: Sequence[int], start: int = 0) -> "WindowConfig":
         """One-dimensional window on the integer interval starting at ``start``."""
         cells = tuple((start + i,) for i in range(len(states)))
@@ -314,6 +316,10 @@ def eca_from_wolfram(number: int) -> LocalRule:
     ``7 - i`` of the number.  Rule 0 is constant zero, 255 is constant
     one, and 204 and 51 are the self-inverse pair that toggles or keeps
     the centre cell.
+
+    This is the 8-bit reversal of Wolfram's standard code, not the
+    standard code itself: 110 here is standard 118, 204 is standard 51
+    and 51 is standard 204.
     """
     if not 0 <= number <= 255:
         raise OutOfRangeError(f"Wolfram number {number} outside 0..255")
@@ -322,7 +328,12 @@ def eca_from_wolfram(number: int) -> LocalRule:
 
 
 def wolfram_number(rule: LocalRule) -> int:
-    """Inverse of :func:`eca_from_wolfram`."""
+    """Inverse of :func:`eca_from_wolfram`.
+
+    The number is the 8-bit reversal of Wolfram's standard code: the
+    standard rule 118 gives 110, standard 51 (negate the center) gives 204
+    and standard 204 (the identity) gives 51.
+    """
     if rule.alphabet.size != 2 or rule.neighborhood != ECA_NEIGHBORHOOD:
         raise NotElementaryError("rule is not a binary rule on offsets (-1, 0, 1)")
     return sum(bit << (7 - i) for i, bit in enumerate(rule.table))

@@ -491,6 +491,14 @@ def check_inverse_fully_1d(
     Both rules are read widened to the block min(N ∪ {0}) .. max(N ∪ {0}),
     so a block's table index is its own mixed-radix value.
     ``stats.windows`` counts q^|T| logical windows per clause pair.
+
+    The verdict quantifies over every configuration of Z, periodic or not.
+    ``decide_fully_1d`` answers not-invertible, with clause eq2-delta, for
+    the elementary rules 134 and 142 on ``0000000000101010101``, 148 on
+    ``1010101010000000000``, 158 on ``1111111111010101010``, and 212 and
+    214 on ``0101010101111111111``.  Each window has two different periodic
+    tails, which no ring configuration can contain; ``ROADMAP.md`` item 11
+    covers these rules on rings.
     """
     t0 = time.perf_counter()
     if C.neighborhood.dimension != 1:
@@ -682,35 +690,28 @@ def two_predecessor_witness(rule: LocalRule) -> TwoPredecessorWitness | None:
     offsets = rule.neighborhood.offsets
     dim = rule.neighborhood.dimension
     weight = q ** (rule.arity - 1 - offsets.index(rule.neighborhood.origin))
-    ell = None
-    for idx, out in enumerate(rule.table):
-        if out != (idx // weight) % q:
-            ell = rule.decode_index(idx)
-            break
-    if ell is None:
+    index = next((idx for idx, out in enumerate(rule.table) if out != (idx // weight) % q), None)
+    if index is None:
         return None
-    successor_value = rule.apply_local(ell)
+    successor_value = rule.table[index]
 
-    distance = 1
-    while True:
-        far = (distance,) + (0,) * (dim - 1)
-        near = tuple(-x for x in far)
-        if not set(add_cells(near, n) for n in offsets) & set(add_cells(far, n) for n in offsets):
-            break
-        distance += 1
+    # the copies around -d·e1 and +d·e1 share a cell exactly when two offsets
+    # that agree past the first axis differ by 2d on it
+    gaps = {a[0] - b[0] for a in offsets for b in offsets if a[1:] == b[1:]}
+    distance = next(d for d in itertools.count(1) if 2 * d not in gaps)
+    far = (distance,) + (0,) * (dim - 1)
+    near = tuple(-x for x in far)
 
-    used = [add_cells(near, n) for n in offsets] + [add_cells(far, n) for n in offsets]
-    lo = [min(c[axis] for c in used) for axis in range(dim)]
-    hi = [max(c[axis] for c in used) for axis in range(dim)]
+    ell = rule.decode_index(index)
+    copies = {add_cells(center, n): state for center in (near, far) for n, state in zip(offsets, ell)}
+    lo = [min(c[axis] for c in copies) for axis in range(dim)]
+    hi = [max(c[axis] for c in copies) for axis in range(dim)]
     cells = math.prod(b - a + 1 for a, b in zip(lo, hi))
     if cells > _WITNESS_CELLS:
         raise ResourceCapExceededError(f"witness window spans {cells} cells, more than {_WITNESS_CELLS}")
-    box = [tuple(c) for c in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))]
-    base = {cell: 0 for cell in box}
-    for j, n in enumerate(offsets):
-        base[add_cells(near, n)] = ell[j]
-        base[add_cells(far, n)] = ell[j]
-    shared = WindowConfig.from_mapping(base)
+    # product yields the box in window order
+    box = tuple(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    shared = WindowConfig(box, tuple(copies.get(c, 0) for c in box))
     first = shared.with_updates({near: successor_value})
     second = shared.with_updates({far: successor_value})
 

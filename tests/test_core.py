@@ -65,12 +65,23 @@ class TestNeighborhood:
         with pytest.raises(ValueError):
             Neighborhood.line(0, 0)
 
+    def test_rejects_bad_dimension_or_cells(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            Neighborhood(0, ())
+        # a bare integer is a cell only in one dimension
+        with pytest.raises(OutOfDomainError, match="needs dimension 1"):
+            Neighborhood(2, (0,))
+        with pytest.raises(OutOfDomainError, match="has dimension 2, expected 1"):
+            Neighborhood(1, ((0, 1),))
+
     def test_symmetrized_with_origin(self):
         assert Neighborhood.line(1).symmetrized_with_origin() == Neighborhood.line(-1, 0, 1)
         assert Neighborhood.line(-2, 1).symmetrized_with_origin() == Neighborhood.line(-2, -1, 1, 2, 0)
 
     def test_union(self):
         assert Neighborhood.line(0, 1).union(Neighborhood.line(-1)) == ECA_NEIGHBORHOOD
+        with pytest.raises(ValueError, match="different dimensions"):
+            Neighborhood.line(0).union(Neighborhood(2, ((0, 0),)))
 
 
 class TestLocalRule:
@@ -240,6 +251,13 @@ class TestWindowConfig:
         w = WindowConfig(((2,), (0,), (1,)), (5, 3, 4))
         assert w.cells == ((0,), (1,), (2,))
         assert w.states == (3, 4, 5)
+        assert WindowConfig(((3,), (2,)), (5, 4)) == WindowConfig.line((4, 5), start=2)
+
+    def test_rejects_unpaired_or_repeated_cells(self):
+        with pytest.raises(ValueError, match="equal length"):
+            WindowConfig(((0,),), ())
+        with pytest.raises(ValueError, match="distinct"):
+            WindowConfig(((0,), (0,)), (1, 2))
 
     def test_line_and_segment(self):
         w = WindowConfig.line((1, 2, 3), start=-1)
@@ -251,15 +269,18 @@ class TestWindowConfig:
         with pytest.raises(OutOfDomainError):
             w[(9,)]
 
+    def test_empty_window(self):
+        empty = WindowConfig((), ())
+        with pytest.raises(ValueError, match="no dimension"):
+            empty.dimension
+        with pytest.raises(OutOfDomainError, match="empty window"):
+            empty[(0,)]
+
     def test_with_updates(self):
         w = WindowConfig.line((0, 0, 0))
         assert w.with_updates({(1,): 1}).states == (0, 1, 0)
         with pytest.raises(OutOfDomainError):
             w.with_updates({(7,): 1})
-
-    def test_mapping_round_trip(self):
-        w = WindowConfig.line((4, 5), start=2)
-        assert WindowConfig.from_mapping({(3,): 5, (2,): 4}) == w
 
 
 class TestStep:
@@ -381,6 +402,8 @@ class TestWithNeighborhood:
         rule = eca_from_wolfram(110)
         with pytest.raises(ValueError):
             with_neighborhood(rule, Neighborhood.line(0, 1))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            with_neighborhood(rule, Neighborhood(2, ((0, 0),)))
 
 
 @st.composite

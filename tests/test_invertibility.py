@@ -101,7 +101,7 @@ def replay_witness(C, G, report, candidates=None):
         if origin not in cells:
             # the rule does not read cell 0: the successor holds its output there
             cells[origin] = mini.apply_local(w.states)
-        successor = WindowConfig.from_mapping(cells)
+        successor = WindowConfig(tuple(cells), tuple(cells.values()))
         sources = [
             v for v in range(C.q)
             if v != successor[origin] and step(mini, successor.with_updates({origin: v}), [origin]) == successor
