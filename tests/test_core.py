@@ -251,7 +251,6 @@ class TestWindowConfig:
         w = WindowConfig(((2,), (0,), (1,)), (5, 3, 4))
         assert w.cells == ((0,), (1,), (2,))
         assert w.states == (3, 4, 5)
-        assert WindowConfig(((3,), (2,)), (5, 4)) == WindowConfig.line((4, 5), start=2)
 
     def test_rejects_unpaired_or_repeated_cells(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -281,6 +280,10 @@ class TestWindowConfig:
         assert w.with_updates({(1,): 1}).states == (0, 1, 0)
         with pytest.raises(OutOfDomainError):
             w.with_updates({(7,): 1})
+
+    def test_mapping_round_trip(self):
+        w = WindowConfig.line((4, 5), start=2)
+        assert WindowConfig(((3,), (2,)), (5, 4)) == w
 
 
 class TestStep:
