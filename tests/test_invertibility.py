@@ -333,6 +333,29 @@ def _partner(rng, rule):
     return LocalRule(rule.alphabet, rule.neighborhood, tuple(table))
 
 
+def golden_fully_rule_pairs():
+    """A fixed, seeded list of 600 pairs at q in {2, 3} on one to three
+    offsets in [-2, 2], each rule with a ``_partner``."""
+    rng = random.Random(22)
+    pairs = []
+    for _ in range(600):
+        q = rng.choice((2, 3))
+        neighborhood = Neighborhood.line(*sorted(rng.sample(range(-2, 3), rng.randint(1, 3))))
+        C = LocalRule(Alphabet(q), neighborhood, tuple(rng.randrange(q) for _ in range(q ** len(neighborhood))))
+        pairs.append((C, _partner(rng, C)))
+    return pairs
+
+
+def test_fully_check_seeded_pairs_golden_digest():
+    """Pins full reports of direct fully checks past the elementary rules,
+    where every clause and the invertible verdict occur; recorded with the
+    check that built its eq1 witness from the one violating block."""
+    reports = [check_inverse_fully_1d(C, G, cap=1 << 1000) for C, G in golden_fully_rule_pairs()]
+    clauses = {r.witness.clause if r.witness else None for r in reports}
+    assert clauses == {None, "eq1-forward", "eq1-backward", "eq2-delta", "eq2-gamma"}
+    assert sha256_of([r.to_dict() for r in reports]) == "c4b2642746b11696ca51da3bd3502a8e620499f0f50c559329c2d354cf6933ef"
+
+
 def golden_purely_pairs():
     """A fixed, seeded list of 150 rule pairs for the purely check: ECA
     pairs, 2- and 3-state rules on offsets in [-2, 2] (ten with no offset
