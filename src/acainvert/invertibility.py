@@ -29,8 +29,11 @@ that cell then grows each partial window only by the states that make c
 change, listed per assignment of c's other reads in a flip table built
 from the rule's table widened to N ∪ {0}.  The fully check (d = 1)
 reads blocks of k = span(N ∪ {0}) consecutive cells, the rules widened to
-that block, so it sweeps the de Bruijn graph of width k in O(|T|·q^k)
-steps (Sutner, Complex Systems 5, 1991).
+that block.  Each of its clauses is one least-path search in the de
+Bruijn graph of width k over the candidate blocks the clause reads, in
+O(|T|·q^k) steps (Sutner, Complex Systems 5, 1991); the cells outside
+those blocks stay 0, which gives the least window, as the cells outside
+S do for the purely check.
 Both find the least violation enumeration would find, report the logical
 count q^|T| in ``stats.windows``, and run on one thread.
 
@@ -444,7 +447,10 @@ def _least_path(q: int, k: int, allowed: list[list[bool]]) -> list[int] | None:
     if there is none.  A word is a path in the de Bruijn graph of width k
     (state: the last k - 1 letters).  A backward pass marks the states from
     which the remaining blocks can be completed, and a greedy forward pass
-    takes the least letter that keeps the path completable.
+    takes the least letter that keeps the path completable.  With one
+    step the word is the least allowed block itself.  Consecutive steps
+    that are one shared list and leave the marks unchanged are passed
+    over, so a long run of one mask costs about one step.
     """
     span = q ** (k - 1)
     feasible = [[True] * span]
@@ -485,12 +491,18 @@ def check_inverse_fully_1d(
     candidate cells are A = {-q^(2m+1), ..., q^(2m+1)} (just {0} when N is
     empty), and the test window is the interval of cells
     {0} ∪ N ∪ A ∪ (A+N).  The first violated clause, in that order, is
-    reported with its least window.  A clause constrains the block of
-    k = span(N ∪ {0}) cells around each candidate (eq1 only the one
-    around 0), so ``_least_path`` decides it in O(|T|·q^k) steps.
-    Both rules are read widened to the block min(N ∪ {0}) .. max(N ∪ {0}),
-    so a block's table index is its own mixed-radix value.
-    ``stats.windows`` counts q^|T| logical windows per clause pair.
+    reported with its least window.  Both rules are read widened to the
+    block min(N ∪ {0}) .. max(N ∪ {0}) of k cells, so a block's table
+    index is its own mixed-radix value.  Each clause is one
+    ``_least_path`` search over the blocks it reads, in O(|T|·q^k) steps,
+    from two masks over the q^k blocks: ``around`` marks the blocks at 0
+    that violate the clause, and ``others`` the blocks it allows at the
+    other candidates it reads.  eq1 reads only the block at 0; eq2 reads
+    the block at every candidate, where the partner must leave the block
+    unfixed.  The cells outside the blocks read stay 0, which gives the
+    least window.  ``stats.windows`` counts q^|T| logical windows per
+    clause pair read.  The check refuses when q^|T| exceeds ``cap``, for
+    every neighborhood.
 
     The verdict quantifies over every configuration of Z, periodic or not.
     ``decide_fully_1d`` answers not-invertible, with clause eq2-delta, for
@@ -517,39 +529,36 @@ def check_inverse_fully_1d(
                 f"fully test window has more than {q}^{2 * m + 1} cells, so {q}^cells exceeds cap {cap}"
             )
         reach = q ** (2 * m + 1)
-        size = right - left + 1 + 2 * reach
-        if q >= 2 and (size > cap.bit_length() or q**size > cap):
-            raise ResourceCapExceededError(f"fully test window has {size} cells, {q}^{size} exceeds cap {cap}")
+    size = right - left + 1 + 2 * reach
+    if q >= 2 and (size > cap.bit_length() or q**size > cap):
+        raise ResourceCapExceededError(f"fully test window has {size} cells, {q}^{size} exceeds cap {cap}")
     cells = tuple((i,) for i in range(left - reach, right + reach + 1))
     k = right - left + 1
     block = Neighborhood.line(*range(left, right + 1))
     wide_c, wide_g = with_neighborhood(C, block), with_neighborhood(G, block)
-    center_weight = q**right
-    center = [b // center_weight % q for b in range(q**k)]
-    windows = q ** len(cells)
+    weight = q**right
+    center = [b // weight % q for b in range(q**k)]
 
     pairs = ((wide_c.table, wide_g.table), (wide_g.table, wide_c.table))
-    for clause, (tab1, tab2) in zip((CLAUSE_EQ1_FORWARD, CLAUSE_EQ1_BACKWARD), pairs):
-        for b, c in enumerate(center):
-            if tab1[b] != c and tab2[b + (tab1[b] - c) * center_weight] != c:
-                # only the block around 0 (window positions reach .. reach + k - 1)
-                # matters; zeros elsewhere give the least window
-                states = [0] * len(cells)
-                states[reach : reach + k] = wide_c.decode_index(b)
-                witness = Witness(WindowConfig(cells, tuple(states)), ((0,),), clause)
-                return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
-
-    windows *= 2
-    for clause, (tab1, tab2) in zip((CLAUSE_EQ2_DELTA, CLAUSE_EQ2_GAMMA), pairs):
-        unfixed = [t != c for t, c in zip(tab2, center)]
-        # one shared list, so _least_path sees a repeated step and can skip it
-        allowed = [unfixed] * (2 * reach + 1)
-        allowed[reach] = [u and t == c for u, t, c in zip(unfixed, tab1, center)]
-        states = _least_path(q, k, allowed)
-        if states is not None:
-            witness = Witness(WindowConfig(cells, tuple(states)), ((0,),), clause)
-            return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
-    return _report(t0, windows, Verdict.INVERTIBLE, G)
+    clauses = (CLAUSE_EQ1_FORWARD, CLAUSE_EQ1_BACKWARD, CLAUSE_EQ2_DELTA, CLAUSE_EQ2_GAMMA)
+    # stats.windows counts q^|T| windows per clause pair read, eq pairs in all
+    for eq, clause, (tab1, tab2) in zip((1, 1, 2, 2), clauses, pairs * 2):
+        if eq == 1:
+            # eq1 reads only the block at 0: a flip there by tab1 that tab2 does not undo
+            side, others = 0, None
+            around = [t != c and tab2[b + (t - c) * weight] != c for b, (t, c) in enumerate(zip(tab1, center))]
+        else:
+            # eq2 reads every candidate's block: tab1 fixes 0 and tab2 fixes no candidate
+            side, others = reach, [t != c for t, c in zip(tab2, center)]
+            around = [u and t == c for u, t, c in zip(others, tab1, center)]
+        if any(around):
+            # one shared list, so _least_path sees a repeated step and can skip it
+            word = _least_path(q, k, [others] * side + [around] + [others] * side)
+            if word is not None:
+                pad = [0] * (reach - side)
+                witness = Witness(WindowConfig(cells, tuple(pad + word + pad)), ((0,),), clause)
+                return _report(t0, eq * q**size, Verdict.NOT_INVERTIBLE, witness=witness)
+    return _report(t0, 2 * q**size, Verdict.INVERTIBLE, G)
 
 
 @dataclass(frozen=True)

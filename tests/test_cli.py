@@ -72,6 +72,18 @@ class TestDecide:
         assert result.exit_code == 2
         assert json.loads(result.stdout)["verdict"] == "resource-cap-exceeded"
 
+    @pytest.mark.parametrize("n", [0, 255])
+    def test_fully_cap_below_q_refuses_the_empty_neighborhood(self, run_cli, n):
+        """Rules 0 and 255 minimize to N = (), whose fully window is cell 0
+        alone: 2^1 windows, over a cap of 1 and within a cap of 2."""
+        result = run_cli("decide", "--wolfram", str(n), "--scheme", "fully", "--cap", "1")
+        assert result.exit_code == 2
+        assert json.loads(result.stdout)["verdict"] == "resource-cap-exceeded"
+        result = run_cli("decide", "--wolfram", str(n), "--scheme", "fully", "--cap", "2")
+        assert result.exit_code == 3
+        doc = json.loads(result.stdout)
+        assert (doc["witness"]["clause"], doc["stats"]["windows"]) == ("eq2-delta", 4)
+
     def test_far_offset_fully_cap_exceeded_exits_two(self, run_cli, tmp_path):
         path = tmp_path / "far.json"
         path.write_text(json.dumps({"dimension": 1, "alphabet": 2, "neighborhood": [[0], [8000]],

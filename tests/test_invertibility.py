@@ -153,6 +153,12 @@ class TestFullyTestWindow:
         with pytest.raises(ResourceCapExceededError, match="^fully test window has 19 cells, 2\\^19 exceeds cap 1024$"):
             check_inverse_fully_1d(eca_from_wolfram(110), eca_from_wolfram(110), cap=1 << 10)
 
+    def test_cap_guard_empty_neighborhood(self):
+        # the one-cell window of N = () has 2^1 windows: cap 2 answers, cap 1 refuses
+        assert check_inverse_fully_1d(rule_of([1]), rule_of([0]), cap=2).stats.windows == 2 * 2 ** 1
+        with pytest.raises(ResourceCapExceededError, match="^fully test window has 1 cells, 2\\^1 exceeds cap 1$"):
+            check_inverse_fully_1d(rule_of([1]), rule_of([0]), cap=1)
+
     @pytest.mark.parametrize("far", [8000, 10**6])
     def test_far_offset_exceeds_cap_without_a_huge_size(self, far):
         # 2^(2m+1) has thousands of digits here; the refusal must not print it
