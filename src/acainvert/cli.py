@@ -9,6 +9,7 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -63,7 +64,13 @@ def _load_source(args: argparse.Namespace) -> LocalRule:
 
 
 def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
+    """Print ``doc`` as ``json.dumps(doc, indent=2)`` would, without ever
+    holding its whole text: the encoder's chunks are joined and written
+    2^14 at a time, since one write per chunk is slow."""
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := "".join(itertools.islice(chunks, 1 << 14)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _verdict_exit(verdict: Verdict) -> int:

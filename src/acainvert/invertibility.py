@@ -100,8 +100,8 @@ DEFAULT_WINDOW_CAP = 1 << 24
 # the purely sweep's cut computes window indices in int64 (rows @ weights)
 _INDEX_LIMIT = 1 << 62
 
-# two_predecessor_witness refuses windows of more cells; printing one this large
-# through the CLI peaks near 1 GB
+# two_predecessor_witness refuses windows of more cells; building, checking and
+# printing one this large through the CLI peaks near 540 MB
 _WITNESS_CELLS = 1 << 20
 
 

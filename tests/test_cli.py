@@ -8,7 +8,11 @@ import time
 
 import pytest
 
-from acainvert.rulefmt import load_rule
+from acainvert.invertibility import two_predecessor_witness
+from acainvert.nakamura import verify_theorem1
+from acainvert.rulefmt import dump_rule, load_rule
+
+from test_nakamura import shift_pair
 
 
 def write_wolfram(tmp_path, name, number):
@@ -290,6 +294,20 @@ class TestNakamura:
         assert result.stdout == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
+    def test_verify_prints_a_long_report_byte_for_byte(self, run_cli, tmp_path):
+        """The 3-state shift pair's report is more than one batch of the
+        chunks ``_print_json`` writes at a time."""
+        paths = [str(tmp_path / name) for name in ("shift.json", "unshift.json")]
+        for rule, path in zip(shift_pair(3), paths):
+            dump_rule(rule, path)
+        result = run_cli("nakamura", "--rule", paths[0], "--inverse", paths[1],
+                         "--out-dir", str(tmp_path / "bar"), "--verify")
+        assert result.exit_code == 0
+        doc = verify_theorem1(*shift_pair(3)).to_dict()
+        assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc)) > 1 << 14
+        assert result.stdout == json.dumps(doc, indent=2) + "\n"
+
+
 class TestWitnessR2:
     def test_trivial_rule(self, run_cli):
         result = run_cli("witness-r2", "--wolfram", "51")
@@ -304,6 +322,15 @@ class TestWitnessR2:
         assert doc["first_active"] == [2]
         assert doc["second"]["states"] == [0, 0, 0, 0, 0, 1, 0]
         assert doc["second_active"] == [-2]
+
+    def test_planar_witness_prints_byte_for_byte(self, run_cli, tmp_path):
+        path = tmp_path / "planar.json"
+        path.write_text(json.dumps({"dimension": 2, "alphabet": 2, "neighborhood": [[0, 0], [0, 1], [2, 0]],
+                                    "table": [1, 0, 1, 0, 1, 0, 1, 0]}))
+        result = run_cli("witness-r2", "--rule", str(path))
+        assert result.exit_code == 0
+        witness = two_predecessor_witness(load_rule(path))
+        assert result.stdout == json.dumps(witness.to_dict(), indent=2) + "\n"
 
     def test_far_offsets_exit_two_at_once(self, run_cli, tmp_path, capsys):
         """Offsets (0, 10^7) would fill a 10^7-cell window (gigabytes); the
