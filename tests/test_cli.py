@@ -293,7 +293,6 @@ class TestNakamura:
         report = nakamura.verify_theorem1(load_rule(rule), load_rule(inverse))
         assert result.stdout == json.dumps(report.to_dict(), indent=2) + "\n"
 
-
     def test_verify_prints_a_long_report_byte_for_byte(self, run_cli, tmp_path):
         """The 3-state shift pair's report is more than one batch of the
         chunks ``_print_json`` writes at a time."""
