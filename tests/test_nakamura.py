@@ -334,6 +334,17 @@ def test_tables_are_derived_inverses_of_each_other(index):
         assert with_neighborhood(candidate, one.neighborhood) == other
 
 
+def test_shift_pair_tables_are_derived_inverses_of_each_other():
+    """The q = 4 shift pair's 110,592-entry bar tables, over the widest
+    bar alphabet (48 states) of the pairs above, derive each other as the
+    bar-pairs and planar tables do."""
+    pair = build_bar_pair(*shift_pair(4))
+    for one, other in ((pair.forward, pair.backward), (pair.backward, pair.forward)):
+        candidate = derive_candidate_inverse(minimize_neighborhood(one))
+        assert isinstance(candidate, LocalRule)
+        assert with_neighborhood(candidate, one.neighborhood) == other
+
+
 class TestBarFileGoldenDigests:
     """Digests of the files ``nakamura --out-dir`` writes, recorded while
     the rule writer still encoded the whole indented document with
