@@ -584,7 +584,12 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
     to v, the rule would have to change v back to x'(0), which makes x' a
     flip image, and flip images are pinned.  So no other table over N can
     be an inverse, and for a rule with a minimal neighborhood a conflict is
-    a definitive negative answer.
+    a definitive negative answer.  The table is built in one pass: it
+    starts as the identity on the center, and each flip writes its source's
+    center once, at its image.  An image's own center is the flip's output,
+    and only a flip writes there, so a second write to one image is the
+    conflict; its first source is the image with the written state at its
+    center.
 
     When N lacks 0, no entry reads cell 0, so each configuration has q - 1
     predecessors through it, one per other state of cell 0.  At q <= 2
@@ -595,28 +600,24 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
     q = rule.q
     offsets = rule.neighborhood.offsets
     origin = rule.neighborhood.origin
-    pinned: dict[int, tuple[int, int]] = {}  # image index: (center, source index)
     if origin in rule.neighborhood:
         weight = q ** (rule.arity - 1 - offsets.index(origin))
+        table = [i // weight % q for i in range(len(rule.table))]
         for idx, out in enumerate(rule.table):
-            center = (idx // weight) % q
+            center = idx // weight % q
             if out == center:
                 continue
-            flipped = idx + (out - center) * weight
-            prev = pinned.get(flipped)
-            # two sources of one image differ only at the center, so a repeat conflicts
-            if prev is not None:
+            image = idx + (out - center) * weight
+            # the image's center is out, so any other state there was written by a first source
+            if table[image] != out:
                 return DerivationConflict(
-                    observed=rule.decode_index(flipped),
-                    first_source=rule.decode_index(prev[1]),
-                    first_value=prev[0],
+                    observed=rule.decode_index(image),
+                    first_source=rule.decode_index(image + (table[image] - out) * weight),
+                    first_value=table[image],
                     second_source=rule.decode_index(idx),
                     second_value=center,
                 )
-            pinned[flipped] = (center, idx)
-        table = tuple(
-            pinned[i][0] if i in pinned else (i // weight) % q for i in range(len(rule.table))
-        )
+            table[image] = center
     elif q <= 2:
         table = tuple(q - 1 - out for out in rule.table)
     else:
