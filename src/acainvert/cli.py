@@ -28,7 +28,7 @@ from .invertibility import (
 )
 from .nakamura import build_bar_pair, verify_theorem1  # noqa: F401 (read as cli.verify_theorem1)
 from .rulefmt import dump_rule, load_rule
-from .simulate import simulate
+from .simulate import check_trace_size, simulate
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -146,6 +146,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rule = _load_source(args)
     if args.size < 1:
         raise CaError("lattice size must be at least 1")
+    check_trace_size(args.size, args.steps)
     init_rng = random.Random(f"{args.seed}:init")
     initial = [init_rng.randrange(rule.q) for _ in range(args.size)]
     trace = simulate(rule, initial, args.scheme, args.steps, args.seed, p=args.p)

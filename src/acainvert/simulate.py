@@ -13,11 +13,15 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import LocalRule
-from .errors import LatticeTooSmallError, NotOneDimensionalError, OutOfRangeError
+from .errors import LatticeTooSmallError, NotOneDimensionalError, OutOfRangeError, ResourceCapExceededError
 
-__all__ = ["TraceStep", "Trace", "simulate"]
+__all__ = ["TraceStep", "Trace", "simulate", "check_trace_size"]
 
 SCHEMES = ("purely", "fully")
+
+# a trace holds (lattice size + 1) × (steps + 1) entries: a state per cell and a
+# record per row; the largest allowed peaks near 310 MB as CLI JSON, at size 1
+_TRACE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,13 @@ def _integer(value: Any, what: str) -> int:
         raise OutOfRangeError(f"{what} must be an integer, got {value!r}") from None
 
 
+def check_trace_size(size: int, steps: int) -> None:
+    """Refuse a trace of ``size`` cells and ``steps`` steps that would hold
+    more than ``_TRACE_ENTRIES`` entries, before anything is built."""
+    if (size + 1) * (steps + 1) > _TRACE_ENTRIES:
+        raise ResourceCapExceededError(f"a trace of size {size} over {steps} steps exceeds {_TRACE_ENTRIES} entries")
+
+
 def simulate(
     rule: LocalRule,
     initial: Sequence[int],
@@ -78,7 +89,9 @@ def simulate(
     Initial states must be integers of the rule's alphabet (bool, float and
     str are refused, not truncated), ``steps`` a non-negative integer and
     ``p`` a real number in [0, 1] (not bool); otherwise
-    :class:`OutOfRangeError` is raised.
+    :class:`OutOfRangeError` is raised.  A trace that would hold more than
+    ``_TRACE_ENTRIES`` = 2^20 entries, (len(initial) + 1) × (steps + 1),
+    raises :class:`ResourceCapExceededError` before any cell is read.
     """
     if rule.neighborhood.dimension != 1:
         raise NotOneDimensionalError("cyclic simulation handles 1-D rules only")
@@ -91,6 +104,7 @@ def simulate(
     if steps < 0:
         raise OutOfRangeError(f"step count must be non-negative, got {steps}")
     n = len(initial)
+    check_trace_size(n, steps)
     offs = [off[0] for off in rule.neighborhood.offsets]
     extent = (max(offs) - min(offs) + 1) if offs else 1
     if n < extent:

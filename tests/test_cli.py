@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -409,6 +410,16 @@ class TestSimulate:
                          "--size", "8", "--steps", "-1", "--seed", "1")
         assert (result.exit_code, result.stdout) == (2, "")
         assert capsys.readouterr().err == "error: step count must be non-negative, got -1\n"
+
+    def test_oversized_trace_exits_two_before_drawing_the_lattice(self, run_cli, capsys, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("the initial lattice was drawn")
+
+        monkeypatch.setattr(random, "Random", no_draw)
+        result = run_cli("simulate", "--wolfram", "110", "--scheme", "fully",
+                         "--size", "1000000000", "--steps", "1", "--seed", "7")
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert capsys.readouterr().err == "error: a trace of size 1000000000 over 1 steps exceeds 1048576 entries\n"
 
     def test_bad_probability_exits_two(self, run_cli):
         result = run_cli("simulate", "--wolfram", "110", "--scheme", "purely",

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections.abc
 import hashlib
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -11,10 +13,13 @@ import numpy as np
 import pytest
 
 from acainvert import eca_from_wolfram
-from acainvert.errors import LatticeTooSmallError, NotOneDimensionalError, OutOfRangeError
+from acainvert.errors import LatticeTooSmallError, NotOneDimensionalError, OutOfRangeError, ResourceCapExceededError
 from acainvert.simulate import TraceStep, simulate
 
 from naive_oracles import step_ring
+
+# the package exports the function ``simulate`` under the module's name
+simulate_module = importlib.import_module("acainvert.simulate")
 
 
 def test_fully_scheme_activates_exactly_one_cell():
@@ -64,6 +69,28 @@ def test_validation_errors():
     flat = LocalRule(Alphabet(2), Neighborhood(2, (((0, 0)),)), (0, 1))
     with pytest.raises(NotOneDimensionalError):
         simulate(flat, [0, 1, 0], "purely", 1, seed=0)
+
+
+def test_trace_at_the_bound_runs_and_one_entry_more_is_refused(monkeypatch):
+    rule = eca_from_wolfram(110)
+    # 5 cells over 3 steps: (5 + 1) * (3 + 1) entries
+    monkeypatch.setattr(simulate_module, "_TRACE_ENTRIES", 24)
+    assert len(simulate(rule, [0, 1, 0, 1, 1], "fully", 3, seed=1).steps) == 3
+    monkeypatch.setattr(simulate_module, "_TRACE_ENTRIES", 23)
+    with pytest.raises(ResourceCapExceededError):
+        simulate(rule, [0, 1, 0, 1, 1], "fully", 3, seed=1)
+
+
+def test_oversized_trace_is_refused_before_any_cell_is_read():
+    class Unreadable(collections.abc.Sequence):
+        def __len__(self):
+            return 1 << 40
+
+        def __getitem__(self, index):
+            raise AssertionError("a cell was read")
+
+    with pytest.raises(ResourceCapExceededError):
+        simulate(eca_from_wolfram(110), Unreadable(), "fully", 1, seed=1)
 
 
 @pytest.mark.parametrize("p", [True, False, "0.5", None, float("nan")])
