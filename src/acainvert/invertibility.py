@@ -604,7 +604,7 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
         weight = q ** (rule.arity - 1 - offsets.index(origin))
         table = [i // weight % q for i in range(len(rule.table))]
         for idx, out in enumerate(rule.table):
-            center = idx // weight % q
+            center = (idx // weight) % q
             if out == center:
                 continue
             image = idx + (out - center) * weight

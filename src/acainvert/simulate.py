@@ -15,7 +15,7 @@ from typing import Any, Sequence
 from .core import LocalRule
 from .errors import LatticeTooSmallError, NotOneDimensionalError, OutOfRangeError, ResourceCapExceededError
 
-__all__ = ["TraceStep", "Trace", "simulate", "check_trace_size"]
+__all__ = ["TraceStep", "Trace", "simulate"]
 
 SCHEMES = ("purely", "fully")
 
