@@ -16,13 +16,15 @@ Neither check enumerates Q^T.  Each reads both rules widened by
 ``core.with_neighborhood`` to the cells a test reads, so a local
 configuration's table index is its own mixed-radix value.  The purely
 clause for an activation set D reads only the cells S = D ∪ (D+N), so its
-least violating window is 0 outside S; the check sweeps each D on its
-own, in blocks of numpy rows that are windows over T, assigning the
+least violating window is 0 outside S.  For D = {0}, S is M = N ∪ {0},
+and that window is the least violating table index over M, found by one
+comparison of the two widened tables.  The check sweeps every other D on
+its own, in blocks of numpy rows that are windows over T, assigning the
 cells of S one at a time in window order and leaving the others 0; a
 block of several rows that would make more than a fixed number of
 children is halved first, which bounds memory for any q^|T|.
 The sets with at most two cells decide the verdict (the proof is in
-``check_inverse_purely``), so they are swept first; the larger sets are
+``check_inverse_purely``), so they are checked first; the larger sets are
 swept only for a direction that fails, to find its least witness.  A
 cell c of D is decided once its last read c + max(N ∪ {0}) is assigned;
 that cell then grows each partial window only by the states that make c
@@ -35,7 +37,12 @@ O(|T|·q^k) steps (Sutner, Complex Systems 5, 1991); the cells outside
 those blocks stay 0, which gives the least window, as the cells outside
 S do for the purely check.
 Both find the least violation enumeration would find, report the logical
-count q^|T| in ``stats.windows``, and run on one thread.
+count q^|T| in ``stats.windows``, and run on one thread.  What a check
+reads of (N, q) alone is built once per (N, q) in a process and kept in
+a bounded cache: for the purely check M, T, the positions of M + M in T,
+T's index weights, and the plan of each set the first time it is swept;
+for the fully check the test cells, the block, and the center state at
+each block index.  Nothing that depends on a rule table is cached.
 
 Clause identifiers carried by witnesses:
 
@@ -51,12 +58,13 @@ Clause identifiers carried by witnesses:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -303,41 +311,99 @@ def _purely_sweep(q: int, weights: np.ndarray, plan, flips, tab2, bound: int | N
     return None
 
 
+class _PurelyLayout:
+    """What the purely check reads of (N, q) alone.  ``reach`` is
+    M = N ∪ {0}, ``cells`` is T = M + M, ``zero`` indexes 0 in M,
+    ``sums[i][j]`` is the position of M[i] + M[j] in T, and ``weights``
+    (read-only) are T's window index weights.  The layout is also the
+    activation family, as a lazy sequence: set i holds 0 and each other
+    cell of M whose bit is set in i, the first offset most significant, so
+    {0} is set 0 and the sets {0, e} are the powers of two.  ``plans[i]``
+    is set i's ``_set_plan``, built the first time set i is swept.
+    """
+
+    def __init__(self, reach: Neighborhood, cells: tuple[Cell, ...], q: int):
+        self.reach, self.cells, self.plans = reach, cells, {}
+        self.zero = reach.offsets.index(reach.origin)
+        self.sums = [[cells.index(add_cells(a, b)) for b in reach] for a in reach]
+        self.weights = q ** np.arange(len(cells) - 1, -1, -1, dtype=np.int64)
+        self.weights.flags.writeable = False
+        # set i holds M[x] when i has all of bits[x]; 0 has none, so every set holds it
+        self.bits = [0 if x == self.zero else 1 << (len(reach) - 1 - x - (x < self.zero)) for x in range(len(reach))]
+
+    def __len__(self) -> int:
+        return 1 << (len(self.reach) - 1)
+
+    def __getitem__(self, i: int) -> tuple[Cell, ...]:
+        i = range(len(self))[i]  # IndexError past the end, which ends iteration
+        return tuple(cell for cell, bit in zip(self.reach, self.bits) if i & bit == bit)
+
+
+def _least_zero_flip(layout: _PurelyLayout, q: int, tab1: np.ndarray, tab2: np.ndarray, bound: int | None):
+    """``_purely_sweep`` for D = {0}, by one table comparison.  The clause
+    reads only S = M, and M ⊂ T keeps T's lexicographic order, so the
+    least violating window is the least table index b over M whose center
+    c ``tab1`` changes to out, and whose image b + (out - c)·w ``tab2``
+    does not take back to c; b's digits go at M's positions in T, 0
+    elsewhere.  None if there is none, or if its window index is not below
+    ``bound``.
+    """
+    w = q ** (len(layout.reach) - 1 - layout.zero)
+    flipped = (tab1.reshape(-1, q, w) != np.arange(q)[:, None]).ravel().nonzero()[0]
+    center = flipped // w % q
+    # int64 before subtracting, so a narrow unsigned table does not wrap
+    missed = flipped[tab2[flipped + (tab1[flipped].astype(np.int64) - center) * w] != center]
+    if not len(missed):
+        return None
+    row = np.zeros(len(layout.cells), dtype=np.min_scalar_type(q))
+    row[layout.sums[layout.zero]] = np.unravel_index(missed[0], (q,) * len(layout.reach))
+    return None if bound is not None and int(row @ layout.weights) >= bound else row
+
+
+# purely layouts by (N, q); the cache is emptied when it holds this many.
+# Threads that race build a layout or a plan twice at worst, never a wrong one.
+_LAYOUT_LIMIT = 256
+_layouts: dict[tuple[Neighborhood, int], _PurelyLayout] = {}
+
+
 def _purely_sets(C: LocalRule, G: LocalRule, cap: int):
     """The purely test window T = M + M, the activation family in order,
-    T's window index weights, and ``sweep(backward, i, bound)``, which runs
-    ``_purely_sweep`` for set i in one direction (C then G, or G then C
-    when ``backward``), building that direction's flip table on first use.
+    T's window index weights, and ``sweep(backward, i, bound)``, which
+    finds set i's least violating window in one direction (C then G, or G
+    then C when ``backward``): ``_least_zero_flip`` for {0},
+    ``_purely_sweep`` for the other sets, building that direction's flip
+    table on first use.  The family is the ``_PurelyLayout`` of (N, q),
+    built on first use and then cached; a q^|T| above ``cap`` or the int64
+    index limit is refused first, so a refused (N, q) is not cached.
     """
     _require_pair(C, G)
-    q = C.q
-    origin = C.neighborhood.origin
-    reach = Neighborhood(C.neighborhood.dimension, tuple({origin, *C.neighborhood.offsets}))  # M = N ∪ {0}
-    cells = tuple(sorted({add_cells(a, b) for a in reach for b in reach}))  # T = M + M
-    windows = q ** len(cells)
+    q, neighborhood = C.q, C.neighborhood
+    layout = _layouts.get((neighborhood, q))
+    if layout is None:
+        reach = Neighborhood(neighborhood.dimension, tuple({neighborhood.origin, *neighborhood.offsets}))  # M
+        cells = tuple(sorted({add_cells(a, b) for a in reach for b in reach}))  # T = M + M
+    windows = q ** len(cells if layout is None else layout.cells)
     if windows > min(cap, _INDEX_LIMIT):
         bound = f"cap is {cap}" if cap <= _INDEX_LIMIT else f"the int64 index limit is {_INDEX_LIMIT}"
         raise ResourceCapExceededError(f"purely test window needs {windows} window assignments, {bound}")
-    # every D with 0 ∈ D ⊆ M, by the indicator vector of M's other offsets
-    family = [
-        tuple(itertools.compress(reach, picks))
-        for picks in itertools.product(*[(1,) if cell == origin else (0, 1) for cell in reach])
-    ]
-    index = {cell: i for i, cell in enumerate(reach)}
-    position = {cell: x for x, cell in enumerate(cells)}
-    sums = [[position[add_cells(a, b)] for b in reach] for a in reach]
-    zero = index[origin]
-    weights = q ** np.arange(len(cells) - 1, -1, -1, dtype=np.int64)
-    plans = [_set_plan([index[c] for c in active], sums, zero, len(cells)) for active in family]
-    tables = (with_neighborhood(C, reach).array, with_neighborhood(G, reach).array)
+    if layout is None:
+        if len(_layouts) >= _LAYOUT_LIMIT:
+            _layouts.clear()
+        layout = _layouts[neighborhood, q] = _PurelyLayout(reach, cells, q)
+    tables = (with_neighborhood(C, layout.reach).array, with_neighborhood(G, layout.reach).array)
     flips = {}
 
     def sweep(backward: bool, i: int, bound: int | None):
+        if i == 0:
+            return _least_zero_flip(layout, q, tables[backward], tables[not backward], bound)
         if backward not in flips:
-            flips[backward] = _flip_table(tables[backward], q, len(reach), zero)
-        return _purely_sweep(q, weights, plans[i], flips[backward], tables[not backward], bound)
+            flips[backward] = _flip_table(tables[backward], q, len(layout.reach), layout.zero)
+        if i not in layout.plans:
+            active = [x for x, bit in enumerate(layout.bits) if i & bit == bit]
+            layout.plans[i] = _set_plan(active, layout.sums, layout.zero, len(layout.cells))
+        return _purely_sweep(q, layout.weights, layout.plans[i], flips[backward], tables[not backward], bound)
 
-    return cells, family, weights, sweep
+    return layout.cells, layout, layout.weights, sweep
 
 
 def check_inverse_purely(
@@ -358,10 +424,13 @@ def check_inverse_purely(
     first and M last; a tie on the least window goes to the earlier set.
     The clause for a set D constrains the windows in which the first rule
     changes every cell of D, and reads only S = D ∪ (D+N), so its least
-    violating window is 0 outside S; ``_purely_sweep`` finds it per D,
+    violating window is 0 outside S.  For D = {0}, S = M, and
+    ``_least_zero_flip`` finds it by one comparison of the two tables
+    widened to M.  For every other D, ``_purely_sweep`` finds it,
     assigning only the cells of S, growing rows only by digits that flip,
     and skips every window that cannot beat the least (window, D) found
-    so far.
+    so far.  The layout of (N, q), from T to each swept set's plan, is
+    built once per (N, q) and cached.
 
     The sets of at most two cells decide the verdict.  Write "C flips c
     in x" for C(x|c+M) ≠ x_c, C_E x for x with every cell of E updated by
@@ -394,9 +463,9 @@ def check_inverse_purely(
     So the forward clauses follow from forward {0}, backward {0} and
     every forward {0, e}; the backward ones, symmetrically, from backward
     {0}, forward {0} and every backward {0, e}.  Nothing here uses how G
-    was derived, nor the dimension.  The check sweeps the forward small
+    was derived, nor the dimension.  The check tests the forward small
     sets ({0}, then each {0, e}, in family order), then the backward {0},
-    then the backward small sets, and if all of them hold it returns
+    then the backward sets {0, e}, and if all of them hold it returns
     invertible.  A direction sweeps its larger sets only when its own
     small sets or the other direction's {0} fail, and then only to find
     its least witness: the least small-set window is the bound, and a set
@@ -410,7 +479,7 @@ def check_inverse_purely(
     cells, family, weights, sweep = _purely_sets(C, G, cap)
     windows = C.q ** len(cells)
 
-    def least(backward: bool, sets: list[int], best=None):
+    def least(backward: bool, sets: Iterable[int], best=None):
         """The least (window index, set, row) over ``sets`` in one
         direction, or ``best`` if none beats it."""
         for i in sets:
@@ -420,25 +489,23 @@ def check_inverse_purely(
                 best = (int(row @ weights), i, row)
         return best
 
-    small = [i for i, active in enumerate(family) if len(active) <= 2]
-    large = [i for i, active in enumerate(family) if len(active) > 2]
-    clause = CLAUSE_PURELY_FORWARD
-    best = least(False, small)
-    zero_back = None if best is not None else least(True, small[:1])
-    if best is not None or zero_back is not None:
-        best = least(False, large, best)
-    if best is None:
-        # the forward direction holds, forward {0} with it, so the backward
-        # small sets decide the backward direction
-        clause = CLAUSE_PURELY_BACKWARD
-        best = least(True, small[1:], zero_back)
+    # {0} is set 0 and each {0, e} a power of two; a larger set has two bits
+    # or more, and the larger sets are listed only when swept
+    small = [0, *(1 << j for j in range(len(family).bit_length() - 1))]
+    zero_back = None
+    for backward, clause in ((False, CLAUSE_PURELY_FORWARD), (True, CLAUSE_PURELY_BACKWARD)):
+        # the backward pass starts from the backward {0}, which the forward pass swept
+        best = least(backward, small[backward:], zero_back)
+        if best is None and not backward:
+            # the forward small sets hold, so the backward {0} decides the forward direction
+            zero_back = least(True, small[:1])
+        if best is not None or zero_back is not None:
+            best = least(backward, (i for i in range(len(family)) if i & (i - 1)), best)
         if best is not None:
-            best = least(True, large, best)
-    if best is None:
-        return _report(t0, windows, Verdict.INVERTIBLE, G)
-    _, i, row = best
-    witness = Witness(WindowConfig(cells, tuple(row.tolist())), family[i], clause)
-    return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
+            _, i, row = best
+            witness = Witness(WindowConfig(cells, tuple(row.tolist())), family[i], clause)
+            return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
+    return _report(t0, windows, Verdict.INVERTIBLE, G)
 
 
 def _least_path(q: int, k: int, allowed: list[list[bool]]) -> list[int] | None:
@@ -474,6 +541,16 @@ def _least_path(q: int, k: int, allowed: list[list[bool]]) -> list[int] | None:
         word.append(b % q)
         state = b % span
     return word
+
+
+@functools.lru_cache(maxsize=256)
+def _fully_layout(left: int, right: int, reach: int, q: int):
+    """The fully check's test cells, its block ``left .. right`` of
+    N ∪ {0}, the block index weight of 0, and the center state at each
+    block index: all of (N, q) alone, so built once per (N, q)."""
+    cells = tuple((i,) for i in range(left - reach, right + reach + 1))
+    center = tuple(b // q**right % q for b in range(q ** (right - left + 1)))
+    return cells, Neighborhood.line(*range(left, right + 1)), q**right, center
 
 
 def check_inverse_fully_1d(
@@ -532,12 +609,8 @@ def check_inverse_fully_1d(
     size = right - left + 1 + 2 * reach
     if q >= 2 and (size > cap.bit_length() or q**size > cap):
         raise ResourceCapExceededError(f"fully test window has {size} cells, {q}^{size} exceeds cap {cap}")
-    cells = tuple((i,) for i in range(left - reach, right + reach + 1))
-    k = right - left + 1
-    block = Neighborhood.line(*range(left, right + 1))
+    cells, block, weight, center = _fully_layout(left, right, reach, q)
     wide_c, wide_g = with_neighborhood(C, block), with_neighborhood(G, block)
-    weight = q**right
-    center = [b // weight % q for b in range(q**k)]
 
     pairs = ((wide_c.table, wide_g.table), (wide_g.table, wide_c.table))
     clauses = (CLAUSE_EQ1_FORWARD, CLAUSE_EQ1_BACKWARD, CLAUSE_EQ2_DELTA, CLAUSE_EQ2_GAMMA)
@@ -553,7 +626,7 @@ def check_inverse_fully_1d(
             around = [u and t == c for u, t, c in zip(others, tab1, center)]
         if any(around):
             # one shared list, so _least_path sees a repeated step and can skip it
-            word = _least_path(q, k, [others] * side + [around] + [others] * side)
+            word = _least_path(q, len(block), [others] * side + [around] + [others] * side)
             if word is not None:
                 pad = [0] * (reach - side)
                 witness = Witness(WindowConfig(cells, tuple(pad + word + pad)), ((0,),), clause)
@@ -598,10 +671,9 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
     least states other than its output, and that conflict is returned.
     """
     q = rule.q
-    offsets = rule.neighborhood.offsets
     origin = rule.neighborhood.origin
     if origin in rule.neighborhood:
-        weight = q ** (rule.arity - 1 - offsets.index(origin))
+        weight = q ** (rule.arity - 1 - rule.neighborhood.offsets.index(origin))
         table = [i // weight % q for i in range(len(rule.table))]
         for idx, out in enumerate(rule.table):
             center = (idx // weight) % q
@@ -642,9 +714,7 @@ def _decide(rule: LocalRule, checker: Callable, *, window_cap: int) -> DecisionR
         checked = checker(mini, candidate, cap=window_cap)
     except ResourceCapExceededError:
         return _report(t0, 0, Verdict.RESOURCE_CAP_EXCEEDED)
-    inverse = None
-    if checked.verdict is Verdict.INVERTIBLE:
-        inverse = with_neighborhood(candidate, rule.neighborhood)
+    inverse = with_neighborhood(candidate, rule.neighborhood) if checked.verdict is Verdict.INVERTIBLE else None
     return _report(t0, checked.stats.windows, checked.verdict, inverse, checked.witness)
 
 

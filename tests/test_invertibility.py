@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,14 +474,21 @@ def test_sweep_block_does_not_change_results(monkeypatch, expansions, block):
     the flips their reads allow at a test column) is halved by rows, and
     the bound cut across activation sets drops rows too; none of it may
     change a verdict or a witness, in either direction, or break the
-    sweep's memory bound."""
+    sweep's memory bound.  A pair whose M = N ∪ {0} is {0} alone has only
+    the set {0}, which is decided by one table comparison and never
+    swept, so there is no block to bound; every other pair sweeps its
+    two-cell sets, and the bound is asserted on each of them."""
     ordered = [(C, G) for pair in sweep_block_pairs() for C, G in (pair, pair[::-1])]
     default = [check_inverse_purely(C, G).to_dict() for C, G in ordered]
     monkeypatch.setattr(invertibility, "_SWEEP_BLOCK", block)
+    swept = 0
     for (C, G), expected in zip(ordered, default):
         expansions.clear()
         assert check_inverse_purely(C, G).to_dict() == expected
-        assert_block_bound(expansions, C.q)
+        if len({C.neighborhood.origin, *C.neighborhood.offsets}) >= 2:
+            assert_block_bound(expansions, C.q)
+            swept += 1
+    assert swept
 
 
 def test_shift_bar_pair_keeps_the_block_bound(expansions):
@@ -623,6 +635,196 @@ def test_small_sets_decide_on_sparse_flip_pairs(pair):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(invertibility, "_SWEEP_BLOCK", invertibility._SWEEP_BLOCK // 4)
         assert_small_sets_decide(*pair)
+
+
+def least_unreturned_zero_flip(A, B):
+    """Brute force over the q^|M| local configurations x over M = N ∪ {0},
+    in order: the window over T = M + M that holds x on M and 0 elsewhere,
+    for the least x whose center A changes and B, reading the result, does
+    not change back; None if there is none."""
+    origin = A.neighborhood.origin
+    reach = sorted({origin, *A.neighborhood.offsets})
+    cells = sorted({add_cells(a, b) for a in reach for b in reach})
+    for x in itertools.product(range(A.q), repeat=len(reach)):
+        local = dict(zip(reach, x))
+        out = A.apply_local([local[n] for n in A.neighborhood])
+        if out != local[origin]:
+            image = {**local, origin: out}
+            if B.apply_local([image[n] for n in B.neighborhood]) != local[origin]:
+                return tuple(local.get(cell, 0) for cell in cells)
+    return None
+
+
+def zero_set_pairs():
+    """``sweep_block_pairs()`` and ``golden_purely_pairs()``, with pairs on
+    no offset, on the offset 0 alone, on offsets without 0, and in 2-D."""
+    pairs = sweep_block_pairs() + golden_purely_pairs()
+    for q in (2, 3):
+        pairs += [(rule_of(a, q=q), rule_of(b, q=q)) for a, b in itertools.product([(s,) for s in range(q)], repeat=2)]
+        pairs += [(rule_of(a, 0, q=q), rule_of(b, 0, q=q)) for a in itertools.permutations(range(q)) for b in
+                  (a, tuple(range(q)), tuple(reversed(range(q))))]
+    rng = random.Random(24)
+    planar = [Neighborhood(2, ((0, 1), (1, 0))), Neighborhood(2, ((0, 0), (0, 1), (1, -1))), VON_NEUMANN]
+    for neighborhood in [Neighborhood.line(-1, 1), Neighborhood.line(-2, 1)] + planar:
+        for _ in range(4):
+            C = LocalRule(Alphabet(2), neighborhood, [rng.randrange(2) for _ in range(2 ** len(neighborhood))])
+            pairs += [(C, _partner(rng, C)), (C, C)]
+    return pairs
+
+
+def assert_zero_set_is_the_brute_force(C, G):
+    """``sweep(backward, 0, bound)`` returns the brute-force row in each
+    direction, and only when its window index is below ``bound``.  Returns
+    the rows."""
+    _, _, weights, sweep = invertibility._purely_sets(C, G, 1 << 62)
+    rows = []
+    for backward, (A, B) in ((False, (C, G)), (True, (G, C))):
+        row = sweep(backward, 0, None)
+        expected = least_unreturned_zero_flip(A, B)
+        assert (None if row is None else tuple(row.tolist())) == expected, (C, G, backward)
+        if row is not None:
+            index = int(row @ weights)
+            assert sweep(backward, 0, index) is None
+            assert tuple(sweep(backward, 0, index + 1).tolist()) == expected
+        rows.append(expected)
+    return rows
+
+
+def test_zero_set_is_one_table_comparison():
+    """The set {0} is decided by one comparison of the two widened tables;
+    its least window must be the least violating local configuration, in
+    both directions, on every pinned pair."""
+    rows = [row for C, G in zero_set_pairs() for row in assert_zero_set_is_the_brute_force(C, G)]
+    assert any(row is None for row in rows) and any(row is not None for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=sparse_flip_pairs())
+def test_zero_set_is_one_table_comparison_on_sparse_flip_pairs(pair):
+    assert_zero_set_is_the_brute_force(*pair)
+
+
+def cache_sample():
+    """A seeded sample of rules for the layout caches: q in {2, 3} on one
+    to four offsets in [-2, 2], some without 0, some padded by a dummy
+    offset, and some center-permuting, so that many decisions reach the
+    sweeps; 1-D, so the fully decider takes them too."""
+    rng = random.Random(1)
+    rules = []
+    for _ in range(120):
+        q = rng.choice((2, 3))
+        neighborhood = Neighborhood.line(*sorted(rng.sample(range(-2, 3), rng.randint(1, 4))))
+        if rng.random() < 0.5 and (0,) in neighborhood:
+            weight = q ** (len(neighborhood) - 1 - neighborhood.offsets.index((0,)))
+            shift = rng.randrange(1, q)
+            table = [(index // weight % q + shift * (rng.random() < 0.3)) % q for index in range(q ** len(neighborhood))]
+        else:
+            table = [rng.randrange(q) for _ in range(q ** len(neighborhood))]
+        rule = LocalRule(Alphabet(q), neighborhood, table)
+        if len(neighborhood) < 4 and rng.random() < 0.3:
+            free = [n for n in range(-2, 3) if (n,) not in neighborhood]
+            rule = with_neighborhood(rule, neighborhood.union(Neighborhood.line(rng.choice(free))))
+        rules.append(rule)
+    return rules
+
+
+def sample_reports(rules):
+    return [[decide(rule).to_dict() for decide in (decide_purely, decide_fully_1d)] for rule in rules]
+
+
+def clear_layout_caches():
+    invertibility._layouts.clear()
+    invertibility._fully_layout.cache_clear()
+
+
+def test_layout_caches_do_not_depend_on_order():
+    """Layouts are built per (N, q) on first use; deciding the sample
+    forward from empty caches, then backward from full ones, then backward
+    from empty ones gives the same reports."""
+    rules = cache_sample()
+    clear_layout_caches()
+    forward = sample_reports(rules)
+    assert sample_reports(rules[::-1])[::-1] == forward
+    clear_layout_caches()
+    assert sample_reports(rules[::-1])[::-1] == forward
+    verdicts = {doc["verdict"] for pair in forward for doc in pair}
+    assert {"invertible", "not-invertible"} <= verdicts
+    assert any(doc["witness"] and doc["witness"]["clause"].startswith("purely") for doc, _ in forward)
+
+
+def test_layout_caches_give_the_bytes_of_a_fresh_interpreter(tmp_path):
+    """A subprocess decides the sample with empty caches; its report
+    bytes equal this process's, whose caches are warm."""
+    tests = Path(__file__).resolve().parent
+    rules = cache_sample()
+    sample_reports(rules)  # fills the caches
+    expected = json.dumps(sample_reports(rules))
+    script = (
+        "import json, sys\n"
+        "from test_invertibility import cache_sample, sample_reports\n"
+        "sys.stdout.write(json.dumps(sample_reports(cache_sample())))\n"
+    )
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
+
+
+def test_cached_layout_arrays_are_read_only():
+    """Every check of one (N, q) reads the same cached weights, so no
+    caller may write to them."""
+    check_inverse_purely(eca_from_wolfram(30), eca_from_wolfram(30))
+    layout = invertibility._layouts[eca_from_wolfram(30).neighborhood, 2]
+    with pytest.raises(ValueError):
+        layout.weights[0] = 1
+    cells, _, weights, _ = invertibility._purely_sets(eca_from_wolfram(30), eca_from_wolfram(30), 1 << 62)
+    assert weights is layout.weights and cells is layout.cells
+    with pytest.raises(ValueError):
+        weights[-1] += 1
+
+
+def test_layouts_are_kept_per_neighborhood_and_alphabet():
+    """Two alphabets on one neighborhood get two layouts, each with the
+    index weights of its own q."""
+    for q in (2, 3, 2):
+        C = LocalRule(Alphabet(q), Neighborhood.line(-1, 0, 1), [0] * q**3)
+        cells, _, weights, _ = invertibility._purely_sets(C, C, 1 << 62)
+        assert weights.tolist() == [q ** (len(cells) - 1 - x) for x in range(len(cells))]
+
+
+def test_refused_layout_is_not_cached():
+    """A q^|T| over the cap is refused before the layout is built, so the
+    refused (N, q) leaves no cache entry; once cached, a smaller cap still
+    refuses it."""
+    # the identity on (-3, 0, 5); T = {-6, -3, 0, 2, 5, 10}, so 2^6 windows
+    C = rule_of([0, 0, 1, 1, 0, 0, 1, 1], -3, 0, 5)
+    key = (C.neighborhood, 2)
+    clear_layout_caches()
+    with pytest.raises(ResourceCapExceededError):
+        check_inverse_purely(C, C, cap=2**6 - 1)
+    assert key not in invertibility._layouts
+    assert check_inverse_purely(C, C, cap=2**6).verdict is Verdict.INVERTIBLE
+    assert key in invertibility._layouts
+    with pytest.raises(ResourceCapExceededError):
+        check_inverse_purely(C, C, cap=2**6 - 1)
+
+
+def test_invertible_pair_builds_plans_for_the_two_cell_sets_only(monkeypatch):
+    """The binary identity rule on 16 offsets has 2^15 activation sets.
+    An invertible verdict sweeps only the sets {0, e}, so only their 15
+    plans are built, and {0}, a table comparison, needs none."""
+    offsets = range(-7, 9)
+    C = LocalRule(Alphabet(2), Neighborhood.line(*offsets), [index >> 8 & 1 for index in range(1 << 16)])
+    built = []
+    plan = invertibility._set_plan
+    monkeypatch.setattr(invertibility, "_set_plan", lambda active, *rest: built.append(active) or plan(active, *rest))
+    clear_layout_caches()
+    report = check_inverse_purely(C, C, cap=1 << 62)
+    assert (report.verdict, report.inverse) == (Verdict.INVERTIBLE, C)
+    assert len(built) < len(offsets) + 1
+    zero = offsets.index(0)
+    assert sorted(built) == sorted([sorted({zero, x}) for x in range(len(offsets)) if x != zero])
 
 
 # (offsets, C table, G table, clause): on M = N ∪ {0} of four cells the
