@@ -9,6 +9,7 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import random
@@ -28,7 +29,7 @@ from .invertibility import (
 )
 from .nakamura import build_bar_pair, verify_theorem1  # noqa: F401 (read as cli.verify_theorem1)
 from .rulefmt import dump_rule, load_rule
-from .simulate import check_trace_size, simulate
+from .simulate import Trace, check_trace_size, simulate
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -71,6 +72,26 @@ def _print_json(doc) -> None:
     while batch := "".join(itertools.islice(chunks, 1 << 14)):
         sys.stdout.write(batch)
     sys.stdout.write("\n")
+
+
+def _print_trace_json(trace: Trace) -> None:
+    """Print ``trace.to_dict()`` as ``json.dumps(..., indent=2)`` would,
+    building the dicts of 2^10 steps at a time: the trace without its
+    steps ends in ``"steps": []``, and each batch of steps is dumped as a
+    list whose items, without its brackets, are indented to the depth of
+    that list."""
+    head = json.dumps(dataclasses.replace(trace, steps=()).to_dict(), indent=2)
+    if not trace.steps:
+        print(head)
+        return
+    # drop the "]\n}" that closes the empty list and the document
+    sys.stdout.write(head[:-3])
+    encode = json.JSONEncoder(indent=2).encode
+    for start in range(0, len(trace.steps), 1 << 10):
+        batch = encode([step.to_dict() for step in trace.steps[start : start + (1 << 10)]])
+        # "[" + items + "\n]"; items after the first batch follow a comma
+        sys.stdout.write(("," if start else "") + batch[1:-2].replace("\n", "\n  "))
+    sys.stdout.write("\n  ]\n}\n")
 
 
 def _verdict_exit(verdict: Verdict) -> int:
@@ -151,7 +172,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     initial = [init_rng.randrange(rule.q) for _ in range(args.size)]
     trace = simulate(rule, initial, args.scheme, args.steps, args.seed, p=args.p)
     if args.format == "json":
-        _print_json(trace.to_dict())
+        _print_trace_json(trace)
         return EXIT_OK
     header = f"scheme={trace.scheme} seed={trace.seed}"
     if trace.p is not None:

@@ -20,7 +20,8 @@ __all__ = ["TraceStep", "Trace", "simulate"]
 SCHEMES = ("purely", "fully")
 
 # a trace holds (lattice size + 1) × (steps + 1) entries: a state per cell and a
-# record per row; the largest allowed peaks near 310 MB as CLI JSON, at size 1
+# record per row; the largest allowed, at size 1, peaks near 135 MB through the
+# CLI as JSON or as text (child's ru_maxrss, 524,287 fully steps)
 _TRACE_ENTRIES = 1 << 20
 
 
@@ -28,6 +29,9 @@ _TRACE_ENTRIES = 1 << 20
 class TraceStep:
     active: tuple[int, ...]
     states: tuple[int, ...]
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"active": list(self.active), "states": list(self.states)}
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ class Trace:
             "seed": self.seed,
             "p": self.p,
             "initial": list(self.initial),
-            "steps": [{"active": list(s.active), "states": list(s.states)} for s in self.steps],
+            "steps": [s.to_dict() for s in self.steps],
         }
 
 

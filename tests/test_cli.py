@@ -9,9 +9,11 @@ import time
 
 import pytest
 
+from acainvert.core import eca_from_wolfram
 from acainvert.invertibility import two_predecessor_witness
 from acainvert.nakamura import verify_theorem1
 from acainvert.rulefmt import dump_rule, load_rule
+from acainvert.simulate import simulate
 
 from test_nakamura import shift_pair
 
@@ -392,6 +394,26 @@ class TestSimulate:
         assert len(doc["initial"]) == 6
         assert len(doc["steps"]) == 3
         assert all(len(entry["active"]) == 1 for entry in doc["steps"])
+
+    @pytest.mark.parametrize("scheme,size,steps,p", [
+        ("fully", 7, 2500, "0.5"),
+        ("purely", 9, 2049, "0.1"),
+        ("purely", 5, 0, "0.5"),
+    ])
+    def test_json_is_the_bytes_of_the_whole_document(self, run_cli, scheme, size, steps, p):
+        """The trace is printed one batch of steps at a time; the bytes are
+        those of ``json.dumps`` on the whole trace.  The traces span several
+        batches, the purely one has steps with no active cell, and the
+        zero-step trace prints ``"steps": []``."""
+        result = run_cli("simulate", "--wolfram", "110", "--scheme", scheme, "--size", str(size),
+                         "--steps", str(steps), "--seed", "3", "--p", p, "--format", "json")
+        init = random.Random("3:init")
+        initial = [init.randrange(2) for _ in range(size)]
+        trace = simulate(eca_from_wolfram(110), initial, scheme, steps, 3, p=float(p))
+        assert result.exit_code == 0
+        assert result.stdout == json.dumps(trace.to_dict(), indent=2) + "\n"
+        if not steps:
+            assert '"steps": []' in result.stdout
 
     def test_bad_size_exits_two(self, run_cli):
         result = run_cli("simulate", "--wolfram", "110", "--scheme", "purely",
