@@ -238,6 +238,16 @@ class WindowConfig:
         object.__setattr__(self, "states", tuple(int(p[1]) for p in pairs))
 
     @classmethod
+    def _canonical(cls, cells: tuple[Cell, ...], states: tuple[int, ...]) -> "WindowConfig":
+        """The window over ``cells``, which must already be sorted and
+        distinct, with ``states`` already Python ints; nothing is checked,
+        sorted or converted."""
+        window = object.__new__(cls)
+        # frozen, so the fields are written past __setattr__
+        vars(window).update(cells=cells, states=states)
+        return window
+
+    @classmethod
     def line(cls, states: Sequence[int], start: int = 0) -> "WindowConfig":
         """One-dimensional window on the integer interval starting at ``start``."""
         cells = tuple((start + i,) for i in range(len(states)))
@@ -271,7 +281,7 @@ class WindowConfig:
             if pos is None:
                 raise OutOfDomainError(f"cell {cell} not in window domain")
             states[pos] = int(value)
-        return WindowConfig(self.cells, tuple(states))
+        return WindowConfig._canonical(self.cells, tuple(states))
 
 
 def local_config(config: WindowConfig, cell: int | Sequence[int], neighborhood: Neighborhood) -> tuple[int, ...]:
@@ -296,7 +306,7 @@ def step(rule: LocalRule, config: WindowConfig, active: Iterable[int | Sequence[
         if a not in index:
             raise OutOfDomainError(f"active cell {a} not in window domain")
         states[index[a]] = rule.apply_local(local_config(config, a, rule.neighborhood))
-    return WindowConfig(config.cells, tuple(states))
+    return WindowConfig._canonical(config.cells, tuple(states))
 
 
 def difference(a: WindowConfig, b: WindowConfig) -> frozenset[Cell]:

@@ -33,7 +33,8 @@ from the rule's table widened to N ∪ {0}.  The fully check (d = 1)
 reads blocks of k = span(N ∪ {0}) consecutive cells, the rules widened to
 that block.  Each of its clauses is one least-path search in the de
 Bruijn graph of width k over the candidate blocks the clause reads, in
-O(|T|·q^k) steps (Sutner, Complex Systems 5, 1991); the cells outside
+O(|T|·q^k) steps (Sutner, Complex Systems 5, 1991), on masks that are
+Python ints with bit b set for an allowed block b; the cells outside
 those blocks stay 0, which gives the least window, as the cells outside
 S do for the purely check.
 Both find the least violation enumeration would find, report the logical
@@ -109,7 +110,7 @@ DEFAULT_WINDOW_CAP = 1 << 24
 _INDEX_LIMIT = 1 << 62
 
 # two_predecessor_witness refuses windows of more cells; building, checking and
-# printing one this large through the CLI peaks near 540 MB
+# printing one this large through the CLI peaks near 455 MB
 _WITNESS_CELLS = 1 << 20
 
 
@@ -503,44 +504,65 @@ def check_inverse_purely(
             best = least(backward, (i for i in range(len(family)) if i & (i - 1)), best)
         if best is not None:
             _, i, row = best
-            witness = Witness(WindowConfig(cells, tuple(row.tolist())), family[i], clause)
+            witness = Witness(WindowConfig._canonical(cells, tuple(row.tolist())), family[i], clause)
             return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
     return _report(t0, windows, Verdict.INVERTIBLE, G)
 
 
-def _least_path(q: int, k: int, allowed: list[list[bool]]) -> list[int] | None:
+def _least_path(q: int, k: int, allowed: list[int]) -> list[int] | None:
     """Least word (first letter most significant) whose i-th k-letter
-    block b satisfies ``allowed[i][b]``, blocks read in mixed radix; None
-    if there is none.  A word is a path in the de Bruijn graph of width k
-    (state: the last k - 1 letters).  A backward pass marks the states from
-    which the remaining blocks can be completed, and a greedy forward pass
-    takes the least letter that keeps the path completable.  With one
-    step the word is the least allowed block itself.  Consecutive steps
-    that are one shared list and leave the marks unchanged are passed
-    over, so a long run of one mask costs about one step.
+    block b is a set bit of the int mask ``allowed[i]``, blocks read in
+    mixed radix; None if there is none.  A word is a path in the de Bruijn
+    graph of width k: block b leads from state b // q to state b % span,
+    span = q^(k-1), a state being k - 1 letters.  A backward pass marks, in
+    an int over the states, those from which the remaining blocks can be
+    completed: a step keeps ``good = ok & (after * lift)``, the allowed
+    blocks that lead to a marked state (lift = Σ_h 2^(h·span) copies the
+    marks ``after`` to every block), and marks state s when ``good`` has a
+    bit in [s·q, s·q + q).  A greedy forward pass takes, at each step, the
+    lowest bit of ``good`` in the current state's q-bit group.  With one
+    step the word is the least allowed block itself.  Consecutive equal
+    masks that leave the marks unchanged are passed over, so a long run
+    of one mask costs about one step.
     """
     span = q ** (k - 1)
-    feasible = [[True] * span]
-    last, settled = None, False
+    lift = ((1 << q * span) - 1) // ((1 << span) - 1)
+    after = (1 << span) - 1
+    goods = []
+    last = good = None
+    settled = False
     for ok in reversed(allowed):
-        after = feasible[-1]
-        if ok is last and settled:
-            # the same step already mapped ``after`` to itself
-            feasible.append(after)
-            continue
-        now = [any(ok[b] and after[b % span] for b in range(s * q, s * q + q)) for s in range(span)]
-        last, settled = ok, now == after
-        feasible.append(now)
-    feasible.reverse()
-    state = next((s for s in range(span) if feasible[0][s]), None)
-    if state is None:
+        # unless the same mask already mapped ``after`` to itself
+        if not (settled and ok == last):
+            good = ok & after * lift
+            # bit s·q of ``fold`` is set when state s's group holds a bit of
+            # ``good``; in the q^k-digit binary string those are every q-th digit
+            fold = good
+            for h in range(1, q):
+                fold |= good >> h
+            now = int(format(fold, f"0{q * span}b")[q - 1 :: q], 2)
+            last, settled, after = ok, now == after, now
+        goods.append(good)
+    if not after:
         return None
+    state = (after & -after).bit_length() - 1
     word = [(state // q ** (k - 2 - i)) % q for i in range(k - 1)]
-    for i, ok in enumerate(allowed):
-        b = next(b for b in range(state * q, state * q + q) if ok[b] and feasible[i + 1][b % span])
-        word.append(b % q)
-        state = b % span
+    low = (1 << q) - 1
+    for good in reversed(goods):
+        group = good >> state * q & low
+        letter = (group & -group).bit_length() - 1
+        word.append(letter)
+        state = (state * q + letter) % span
     return word
+
+
+# bytes of 0s and 1s to the ASCII digits int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: list[bool]) -> int:
+    """The int whose bit b is ``flags[b]``, built in O(len(flags))."""
+    return int(bytes(flags)[::-1].translate(_DIGITS), 2)
 
 
 @functools.lru_cache(maxsize=256)
@@ -572,12 +594,12 @@ def check_inverse_fully_1d(
     block min(N ∪ {0}) .. max(N ∪ {0}) of k cells, so a block's table
     index is its own mixed-radix value.  Each clause is one
     ``_least_path`` search over the blocks it reads, in O(|T|·q^k) steps,
-    from two masks over the q^k blocks: ``around`` marks the blocks at 0
-    that violate the clause, and ``others`` the blocks it allows at the
-    other candidates it reads.  eq1 reads only the block at 0; eq2 reads
-    the block at every candidate, where the partner must leave the block
-    unfixed.  The cells outside the blocks read stay 0, which gives the
-    least window.  ``stats.windows`` counts q^|T| logical windows per
+    from two masks, ints whose bit b stands for block b of the q^k:
+    ``around`` marks the blocks at 0 that violate the clause, and
+    ``others`` the blocks it allows at the other candidates it reads.
+    eq1 reads only the block at 0; eq2 reads the block at every
+    candidate, where the partner must leave the block unfixed.  The cells
+    outside the blocks read stay 0, which gives the least window.  ``stats.windows`` counts q^|T| logical windows per
     clause pair read.  The check refuses when q^|T| exceeds ``cap``, for
     every neighborhood.
 
@@ -612,24 +634,26 @@ def check_inverse_fully_1d(
     cells, block, weight, center = _fully_layout(left, right, reach, q)
     wide_c, wide_g = with_neighborhood(C, block), with_neighborhood(G, block)
 
-    pairs = ((wide_c.table, wide_g.table), (wide_g.table, wide_c.table))
+    tab_c, tab_g = wide_c.table, wide_g.table
+    # the blocks whose center each rule changes
+    move_c, move_g = (_mask([t != c for t, c in zip(tab, center)]) for tab in (tab_c, tab_g))
+    pairs = ((tab_c, tab_g, move_c, move_g), (tab_g, tab_c, move_g, move_c))
     clauses = (CLAUSE_EQ1_FORWARD, CLAUSE_EQ1_BACKWARD, CLAUSE_EQ2_DELTA, CLAUSE_EQ2_GAMMA)
     # stats.windows counts q^|T| windows per clause pair read, eq pairs in all
-    for eq, clause, (tab1, tab2) in zip((1, 1, 2, 2), clauses, pairs * 2):
+    for eq, clause, (tab1, tab2, move1, move2) in zip((1, 1, 2, 2), clauses, pairs * 2):
         if eq == 1:
             # eq1 reads only the block at 0: a flip there by tab1 that tab2 does not undo
             side, others = 0, None
-            around = [t != c and tab2[b + (t - c) * weight] != c for b, (t, c) in enumerate(zip(tab1, center))]
+            around = _mask([t != c and tab2[b + (t - c) * weight] != c for b, (t, c) in enumerate(zip(tab1, center))])
         else:
             # eq2 reads every candidate's block: tab1 fixes 0 and tab2 fixes no candidate
-            side, others = reach, [t != c for t, c in zip(tab2, center)]
-            around = [u and t == c for u, t, c in zip(others, tab1, center)]
-        if any(around):
-            # one shared list, so _least_path sees a repeated step and can skip it
+            side, others = reach, move2
+            around = move2 & ~move1
+        if around:
             word = _least_path(q, len(block), [others] * side + [around] + [others] * side)
             if word is not None:
                 pad = [0] * (reach - side)
-                witness = Witness(WindowConfig(cells, tuple(pad + word + pad)), ((0,),), clause)
+                witness = Witness(WindowConfig._canonical(cells, tuple(pad + word + pad)), ((0,),), clause)
                 return _report(t0, eq * q**size, Verdict.NOT_INVERTIBLE, witness=witness)
     return _report(t0, 2 * q**size, Verdict.INVERTIBLE, G)
 
@@ -707,7 +731,7 @@ def _decide(rule: LocalRule, checker: Callable, *, window_cap: int) -> DecisionR
     mini = minimize_neighborhood(rule)
     candidate = derive_candidate_inverse(mini)
     if isinstance(candidate, DerivationConflict):
-        window = WindowConfig(mini.neighborhood.offsets, candidate.observed)
+        window = WindowConfig._canonical(mini.neighborhood.offsets, candidate.observed)
         witness = Witness(window, (mini.neighborhood.origin,), CLAUSE_DERIVATION_CONFLICT)
         return _report(t0, 0, Verdict.NOT_INVERTIBLE, witness=witness)
     try:

@@ -9,6 +9,7 @@ import sys
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from acainvert import Neighborhood, WindowConfig, cli
@@ -21,6 +22,23 @@ PADDED_NEIGHBORHOOD = Neighborhood.line(-2, -1, 0, 1, 3)
 def translate(config: WindowConfig, shift: int) -> WindowConfig:
     """Shift a 1-D window by ``shift``: cell ``i`` moves to ``i + shift``."""
     return WindowConfig(tuple(add_cells(c, (shift,)) for c in config.cells), config.states)
+
+
+def assert_like_public_window(window: WindowConfig) -> None:
+    """``window`` compares, hashes, prints and looks up cells like the same
+    window built by the public constructor from its cells in reverse order
+    and numpy states, and its states are exact ints."""
+    assert all(type(s) is int for s in window.states)
+    public = WindowConfig(window.cells[::-1], tuple(np.int64(s) for s in window.states[::-1]))
+    assert window == public and public == window
+    assert hash(window) == hash(public)
+    assert repr(window) == repr(public)
+    for cell, state in zip(window.cells, window.states):
+        assert cell in window
+        assert window[cell] == public[cell] == state
+    if window.cells:
+        outside = tuple(x + 1 for x in window.cells[-1])
+        assert outside not in window and outside not in public
 
 
 def sha256_of(docs) -> str:

@@ -138,6 +138,23 @@ def naive_least_fully_witness(offsets, q, delta, gamma):
     return None
 
 
+def naive_least_path(q, k, allowed):
+    """Least word of len(allowed) + k - 1 letters, first letter most
+    significant, whose i-th block of k letters, read in mixed radix as b,
+    has bit b of the int ``allowed[i]`` set; None if there is none.  Every
+    word is tried in order."""
+    for word in product(range(q), repeat=len(allowed) + k - 1):
+        blocks = []
+        for i in range(len(allowed)):
+            b = 0
+            for letter in word[i : i + k]:
+                b = b * q + letter
+            blocks.append(b)
+        if all(mask >> b & 1 for mask, b in zip(allowed, blocks)):
+            return list(word)
+    return None
+
+
 def purely_activation_family(offsets):
     """Every D with 0 in D subset {0} union N, ordered by the indicator
     vector of the non-origin offsets, most significant first."""

@@ -37,7 +37,7 @@ from acainvert.errors import (
     OutOfRangeError,
 )
 
-from conftest import translate
+from conftest import assert_like_public_window, translate
 from naive_oracles import step_ring
 
 
@@ -284,6 +284,26 @@ class TestWindowConfig:
     def test_mapping_round_trip(self):
         w = WindowConfig.line((4, 5), start=2)
         assert WindowConfig(((3,), (2,)), (5, 4)) == w
+
+    def test_public_constructor_coerces_numpy_states(self):
+        w = WindowConfig(((1,), (0,)), (np.uint8(3), np.int64(2)))
+        assert w.states == (2, 3)
+        assert all(type(s) is int for s in w.states)
+
+
+def test_windows_built_by_step_and_with_updates_match_the_public_constructor():
+    corner = Neighborhood(2, ((0, 0), (0, 1), (1, 0)))
+    planar = LocalRule(Alphabet(3), corner, tuple((7 * i + 1) % 3 for i in range(27)))
+    square = WindowConfig(tuple(itertools.product(range(3), range(3))), tuple(i % 3 for i in range(9)))
+    line = WindowConfig.line((0, 1, 1, 0, 1, 0, 0, 1), start=-3)
+    cases = [(eca_from_wolfram(n), line, active) for n in (30, 110, 204) for active in ([], [0], [-2, 0, 3])]
+    cases += [(planar, square, [(0, 0), (1, 1)])]
+    for rule, window, active in cases:
+        stepped = step(rule, window, active)
+        assert_like_public_window(stepped)
+        updated = stepped.with_updates({window.cells[0]: np.uint8(1), window.cells[-1]: 2 % rule.q})
+        assert_like_public_window(updated)
+        assert updated.states[0] == 1
 
 
 class TestStep:

@@ -47,13 +47,14 @@ from acainvert.invertibility import (
 )
 from acainvert.nakamura import build_bar_pair
 
-from conftest import sha256_of
+from conftest import assert_like_public_window, sha256_of
 from naive_oracles import (
     all_tables,
     naive_check_fully,
     naive_check_purely,
     naive_first_conflict,
     naive_least_fully_witness,
+    naive_least_path,
     naive_least_purely_witness,
 )
 from test_nakamura import bar_pair_inputs, bar_table_inputs, planar_inputs, shift_pair
@@ -365,6 +366,38 @@ def test_fully_check_seeded_pairs_golden_digest():
     clauses = {r.witness.clause if r.witness else None for r in reports}
     assert clauses == {None, "eq1-forward", "eq1-backward", "eq2-delta", "eq2-gamma"}
     assert sha256_of([r.to_dict() for r in reports]) == "c4b2642746b11696ca51da3bd3502a8e620499f0f50c559329c2d354cf6933ef"
+
+
+UNCAPPED_FULLY_SPACES = ((3, 1), (4, 1), (2, 2), (2, 3), (3, 2))
+
+
+def uncapped_fully_rules(q, radius, count=60):
+    """``count`` seeded sparse rules at q states on offsets -radius..radius:
+    each keeps cell 0 except at 2-8 redrawn entries."""
+    rng = random.Random(f"uncapped {q} {radius}")
+    neighborhood = Neighborhood.line(*range(-radius, radius + 1))
+    size = q ** len(neighborhood)
+    rules = []
+    for _ in range(count):
+        table = [i // q**radius % q for i in range(size)]
+        for _ in range(rng.randint(2, 8)):
+            table[rng.randrange(size)] = rng.randrange(q)
+        rules.append(LocalRule(Alphabet(q), neighborhood, tuple(table)))
+    return rules
+
+
+def test_uncapped_fully_reports_golden_digest():
+    """Pins fully decisions past the elementary rules at a cap above every
+    q^|T| (up to 3^491 windows at q = 3, radius 2), where the default cap
+    refuses many of them; each space gives both verdicts and both eq2
+    clauses."""
+    docs = []
+    for q, radius in UNCAPPED_FULLY_SPACES:
+        reports = [decide_fully_1d(rule, window_cap=1 << 2000) for rule in uncapped_fully_rules(q, radius)]
+        clauses = {r.witness.clause if r.witness else None for r in reports}
+        assert {None, "eq2-delta", "eq2-gamma"} <= clauses, (q, radius)
+        docs += [r.to_dict() for r in reports]
+    assert sha256_of(docs) == "b63ac912941d3788626a140abc2214dd1b9935cca345b19cb2a38054bce17a3a"
 
 
 def golden_purely_pairs():
@@ -952,6 +985,36 @@ def test_fully_witness_matches_naive_least_witness(offsets, q):
         assert got == naive_least_fully_witness(offsets, q, delta, gamma), (delta, gamma)
 
 
+def least_path_cases():
+    """Seeded (q, k, masks) for ``_least_path``: q <= 3, k <= 3 and at most
+    six steps.  The masks are empty, full, dense or sparse; each list draws
+    them from a small pool, so one mask object recurs in runs, and some
+    lists have the fully check's shape, a run of one mask on each side of
+    another."""
+    rng = random.Random(26)
+    cases = []
+    for q, k, steps in itertools.product((1, 2, 3), (1, 2, 3), range(7)):
+        size = q**k
+        full = (1 << size) - 1
+        for _ in range(3):
+            dense = rng.getrandbits(size) | rng.getrandbits(size)
+            sparse = rng.getrandbits(size) & rng.getrandbits(size)
+            pool = (0, full, dense, sparse)
+            cases.append((q, k, [rng.choice(pool) for _ in range(steps)]))
+            cases.append((q, k, [dense] * (steps // 2) + [sparse] + [dense] * (steps // 2)))
+        cases += [(q, k, [0] * steps), (q, k, [full] * steps)]
+    return cases
+
+
+def test_least_path_matches_brute_force():
+    words = []
+    for q, k, allowed in least_path_cases():
+        word = invertibility._least_path(q, k, allowed)
+        assert word == naive_least_path(q, k, allowed), (q, k, allowed)
+        words.append(word)
+    assert None in words and any(w is not None and any(w) for w in words)
+
+
 class TestDeriveCandidate:
     def test_keeper_yields_itself(self):
         assert wolfram_number(derive_candidate_inverse(eca_from_wolfram(51))) == 51
@@ -1023,6 +1086,29 @@ def test_derivation_conflict_witnesses_replay(decide):
         replayed[rule.neighborhood.origin in minimize_neighborhood(rule).neighborhood] += 1
     # the minimized neighborhood holds 0 for some conflicts and lacks it for others
     assert replayed[True] >= 10 and replayed[False] >= 10, replayed
+
+
+def test_witness_windows_match_the_public_constructor():
+    """The witness windows the checks build over cells they hold in order
+    (every clause, and both two-predecessor windows) are the windows the
+    public constructor builds."""
+    rules = all_eca_rules() + conflict_rules()
+    reports = [decide(rule) for rule in rules for decide in (decide_purely, decide_fully_1d)]
+    reports += [check_inverse_fully_1d(eca_from_wolfram(a), eca_from_wolfram(b)) for a, b in golden_fully_pairs()]
+    clauses = set()
+    for report in reports:
+        if report.witness is not None:
+            assert_like_public_window(report.witness.window)
+            clauses.add(report.witness.clause)
+    assert clauses == {
+        "purely-forward", "purely-backward", "eq1-forward", "eq1-backward", "eq2-delta", "eq2-gamma",
+        "derivation-conflict",
+    }
+    for rule in all_eca_rules()[1::15] + witness_sample_rules()[:30]:
+        pair = two_predecessor_witness(rule)
+        if pair is not None:
+            assert_like_public_window(pair.first)
+            assert_like_public_window(pair.second)
 
 
 def test_derivation_conflict_sources_match_naive_walk():
