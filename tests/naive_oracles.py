@@ -144,12 +144,7 @@ def naive_least_path(q, k, allowed):
     has bit b of the int ``allowed[i]`` set; None if there is none.  Every
     word is tried in order."""
     for word in product(range(q), repeat=len(allowed) + k - 1):
-        blocks = []
-        for i in range(len(allowed)):
-            b = 0
-            for letter in word[i : i + k]:
-                b = b * q + letter
-            blocks.append(b)
+        blocks = [sum(x * q ** (k - 1 - j) for j, x in enumerate(word[i : i + k])) for i in range(len(allowed))]
         if all(mask >> b & 1 for mask, b in zip(allowed, blocks)):
             return list(word)
     return None
