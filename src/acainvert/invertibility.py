@@ -15,35 +15,37 @@ the least violation is well defined.
 Neither check enumerates Q^T.  Each reads both rules widened by
 ``core.with_neighborhood`` to the cells a test reads, so a local
 configuration's table index is its own mixed-radix value.  The purely
-clause for an activation set D reads only the cells S = D ∪ (D+N), so its
-least violating window is 0 outside S.  For D = {0}, S is M = N ∪ {0},
-and that window is the least violating table index over M, found by one
-comparison of the two widened tables.  The check sweeps every other D on
-its own, in blocks of numpy rows that are windows over T, assigning the
-cells of S one at a time in window order and leaving the others 0; a
-block of several rows that would make more than a fixed number of
-children is halved first, which bounds memory for any q^|T|.
+check lists, once per direction, the entries of the first rule's table
+widened to M = N ∪ {0} that change the center, with their new states.
+The clause for an activation set D reads only the cells
+S = D ∪ (D+N), so its least violating window is 0 outside S.  For
+D = {0}, S is M, and that window is the least listed entry that the
+partner's widened table does not take back.  The check sweeps every
+other D on its own, in blocks of numpy rows that are windows over T,
+assigning the cells of S one at a time in window order and leaving the
+others 0; a block of several rows that would make more than a fixed
+number of children is halved first, which bounds memory for any q^|T|.
 The sets with at most two cells decide the verdict (the proof is in
 ``check_inverse_purely``), so they are checked first; the larger sets are
 swept only for a direction that fails, to find its least witness.  A
 cell c of D is decided once its last read c + max(N ∪ {0}) is assigned;
 that cell then grows each partial window only by the states that make c
-change, listed per assignment of c's other reads in a flip table built
-from the rule's table widened to N ∪ {0}.  The fully check (d = 1)
-reads blocks of k = span(N ∪ {0}) consecutive cells, the rules widened to
-that block.  Each of its clauses is one least-path search in the de
-Bruijn graph of width k over the candidate blocks the clause reads, in
-O(|T|·q^k) steps (Sutner, Complex Systems 5, 1991), on masks that are
-Python ints with bit b set for an allowed block b; the cells outside
-those blocks stay 0, which gives the least window, as the cells outside
-S do for the purely check.
+change, which the same list gives per assignment of c's other reads.
+The fully check (d = 1) reads blocks of k = span(N ∪ {0}) consecutive
+cells, the rules widened to that block.  Each of its clauses is one
+least-path search in the de Bruijn graph of width k over the candidate
+blocks the clause reads, in O(|T|·q^k) steps (Sutner, Complex Systems 5,
+1991), on masks that are Python ints with bit b set for an allowed block
+b; the cells outside those blocks stay 0, which gives the least window,
+as the cells outside S do for the purely check.
 Both find the least violation enumeration would find, report the logical
 count q^|T| in ``stats.windows``, and run on one thread.  What a check
-reads of (N, q) alone is built once per (N, q) in a process and kept in
-a bounded cache: for the purely check M, T, the positions of M + M in T,
-T's index weights, and the plan of each set the first time it is swept;
-for the fully check the test cells, the block, and the center state at
-each block index.  Nothing that depends on a rule table is cached.
+reads of (N, q) alone is built once per (N, q), and for the purely check
+once per cap too, and kept in a ``functools.lru_cache`` of 256 entries:
+for the purely check M, T, the positions of M + M in T, T's index
+weights, and the plan of each set the first time it is swept; for the
+fully check the test cells, the block, and the center state at each
+block index.  Nothing that depends on a rule table is cached.
 
 Clause identifiers carried by witnesses:
 
@@ -215,20 +217,17 @@ def _set_plan(active: list[int], sums: list[list[int]], zero: int, width: int):
     return positions, [last.get(x) for x in positions], undo
 
 
-def _flip_table(tab: np.ndarray, q: int, k: int, zero: int):
-    """The local configurations over M = N ∪ {0}, read in order, whose
-    update by the rule table ``tab``, widened to M, changes the center.
-
-    Row p of the (q^(k-1), q) table, k = |M|, holds the configurations
-    whose first k - 1 reads have index p; it is stored compressed as the
-    ``counts[p]`` entries that end at ``ends[p]``, each a last read
-    (``digits``, ascending) with its new center state (``states``).
-    """
+def _flips(tab: np.ndarray, q: int, w: int):
+    """The entries of the rule table ``tab`` whose update changes the
+    center, 0's index weight being ``w``: their indices (``sources``,
+    ascending), their centers, and their new center states."""
     # axis 1 is the read of 0
-    out = tab.reshape(-1, q, q ** (k - 1 - zero))
+    out = tab.reshape(-1, q, w)
     change = out != np.arange(q)[:, None]
-    counts = change.reshape(-1, q).sum(axis=1)
-    return counts, counts.cumsum(), change.ravel().nonzero()[0] % q, out[change]
+    sources = change.ravel().nonzero()[0]
+    # centers in the table's narrow dtype, as its states are: a check keeps both
+    # directions' lists
+    return sources, (sources // w % q).astype(tab.dtype), out[change]
 
 
 def _local_indices(rows: np.ndarray, columns: list[int], q: int) -> np.ndarray:
@@ -238,11 +237,12 @@ def _local_indices(rows: np.ndarray, columns: list[int], q: int) -> np.ndarray:
     return index
 
 
-def _purely_sweep(q: int, weights: np.ndarray, plan, flips, tab2, bound: int | None):
+def _purely_sweep(q: int, weights: np.ndarray, plan, table, tab2, bound: int | None):
     """Least window over T, whose index weights are ``weights``, whose
-    flip by the rule behind ``flips`` at every cell of D is not undone by
+    flip by the rule behind ``table`` at every cell of D is not undone by
     ``tab2``; only windows whose index is below ``bound`` count.  None if
-    there is none.  ``plan`` is D's ``_set_plan``.
+    there is none.  ``plan`` is D's ``_set_plan``, and ``table`` the
+    compressed flip table ``_purely_sets`` derives from ``_flips``.
 
     A row is a window over T followed by the stepped cells of D.  Rows
     grow one position of S at a time in window order; the cells outside S
@@ -260,7 +260,7 @@ def _purely_sweep(q: int, weights: np.ndarray, plan, flips, tab2, bound: int | N
     than ``_SWEEP_BLOCK`` rows, and one row makes at most q.
     """
     positions, tests, undo = plan
-    counts, ends, flip_digits, flip_states = flips
+    counts, ends, flip_digits, flip_states = table
     width = len(weights)
     dtype = np.min_scalar_type(q)
     digits = np.arange(q, dtype=dtype)
@@ -315,17 +315,19 @@ def _purely_sweep(q: int, weights: np.ndarray, plan, flips, tab2, bound: int | N
 class _PurelyLayout:
     """What the purely check reads of (N, q) alone.  ``reach`` is
     M = N ∪ {0}, ``cells`` is T = M + M, ``zero`` indexes 0 in M,
-    ``sums[i][j]`` is the position of M[i] + M[j] in T, and ``weights``
-    (read-only) are T's window index weights.  The layout is also the
-    activation family, as a lazy sequence: set i holds 0 and each other
-    cell of M whose bit is set in i, the first offset most significant, so
-    {0} is set 0 and the sets {0, e} are the powers of two.  ``plans[i]``
-    is set i's ``_set_plan``, built the first time set i is swept.
+    ``w`` is 0's index weight in a table over M, ``sums[i][j]`` is the
+    position of M[i] + M[j] in T, and ``weights`` (read-only) are T's
+    window index weights.  The layout is also the activation family, as a
+    lazy sequence: set i holds 0 and each other cell of M whose bit is set
+    in i, the first offset most significant, so {0} is set 0 and the sets
+    {0, e} are the powers of two.  ``plans[i]`` is set i's ``_set_plan``,
+    built the first time set i is swept.
     """
 
     def __init__(self, reach: Neighborhood, cells: tuple[Cell, ...], q: int):
         self.reach, self.cells, self.plans = reach, cells, {}
         self.zero = reach.offsets.index(reach.origin)
+        self.w = q ** (len(reach) - 1 - self.zero)
         self.sums = [[cells.index(add_cells(a, b)) for b in reach] for a in reach]
         self.weights = q ** np.arange(len(cells) - 1, -1, -1, dtype=np.int64)
         self.weights.flags.writeable = False
@@ -340,20 +342,18 @@ class _PurelyLayout:
         return tuple(cell for cell, bit in zip(self.reach, self.bits) if i & bit == bit)
 
 
-def _least_zero_flip(layout: _PurelyLayout, q: int, tab1: np.ndarray, tab2: np.ndarray, bound: int | None):
-    """``_purely_sweep`` for D = {0}, by one table comparison.  The clause
-    reads only S = M, and M ⊂ T keeps T's lexicographic order, so the
-    least violating window is the least table index b over M whose center
-    c ``tab1`` changes to out, and whose image b + (out - c)·w ``tab2``
-    does not take back to c; b's digits go at M's positions in T, 0
-    elsewhere.  None if there is none, or if its window index is not below
-    ``bound``.
+def _least_zero_flip(layout: _PurelyLayout, q: int, flips, tab2: np.ndarray, bound: int | None):
+    """``_purely_sweep`` for D = {0}, read off ``flips``, the first rule's
+    ``_flips`` over M.  The clause reads only S = M, and M ⊂ T keeps T's
+    lexicographic order, so the least violating window is the least flip
+    source b, of center c and new state out, whose image b + (out - c)·w
+    ``tab2`` does not take back to c; b's digits go at M's positions in T,
+    0 elsewhere.  None if there is none, or if its window index is not
+    below ``bound``.
     """
-    w = q ** (len(layout.reach) - 1 - layout.zero)
-    flipped = (tab1.reshape(-1, q, w) != np.arange(q)[:, None]).ravel().nonzero()[0]
-    center = flipped // w % q
+    sources, centers, states = flips
     # int64 before subtracting, so a narrow unsigned table does not wrap
-    missed = flipped[tab2[flipped + (tab1[flipped].astype(np.int64) - center) * w] != center]
+    missed = sources[tab2[sources + (states.astype(np.int64) - centers) * layout.w] != centers]
     if not len(missed):
         return None
     row = np.zeros(len(layout.cells), dtype=np.min_scalar_type(q))
@@ -361,50 +361,54 @@ def _least_zero_flip(layout: _PurelyLayout, q: int, tab1: np.ndarray, tab2: np.n
     return None if bound is not None and int(row @ layout.weights) >= bound else row
 
 
-# purely layouts by (N, q); the cache is emptied when it holds this many.
-# Threads that race build a layout or a plan twice at worst, never a wrong one.
-_LAYOUT_LIMIT = 256
-_layouts: dict[tuple[Neighborhood, int], _PurelyLayout] = {}
-
-
-def _purely_sets(C: LocalRule, G: LocalRule, cap: int):
-    """The purely test window T = M + M, the activation family in order,
-    T's window index weights, and ``sweep(backward, i, bound)``, which
-    finds set i's least violating window in one direction (C then G, or G
-    then C when ``backward``): ``_least_zero_flip`` for {0},
-    ``_purely_sweep`` for the other sets, building that direction's flip
-    table on first use.  The family is the ``_PurelyLayout`` of (N, q),
-    built on first use and then cached; a q^|T| above ``cap`` or the int64
-    index limit is refused first, so a refused (N, q) is not cached.
-    """
-    _require_pair(C, G)
-    q, neighborhood = C.q, C.neighborhood
-    layout = _layouts.get((neighborhood, q))
-    if layout is None:
-        reach = Neighborhood(neighborhood.dimension, tuple({neighborhood.origin, *neighborhood.offsets}))  # M
-        cells = tuple(sorted({add_cells(a, b) for a in reach for b in reach}))  # T = M + M
-    windows = q ** len(cells if layout is None else layout.cells)
+@functools.lru_cache(maxsize=256)
+def _purely_layout(neighborhood: Neighborhood, q: int, cap: int) -> _PurelyLayout:
+    """The ``_PurelyLayout`` of (N, q), built once per (N, q) and cap.  A
+    q^|T| above ``cap`` or the int64 index limit is refused before the
+    layout is built, and a refusal is not cached.  Threads that race build
+    a layout or a plan twice at worst, never a wrong one."""
+    reach = Neighborhood(neighborhood.dimension, tuple({neighborhood.origin, *neighborhood.offsets}))  # M
+    cells = tuple(sorted({add_cells(a, b) for a in reach for b in reach}))  # T = M + M
+    windows = q ** len(cells)
     if windows > min(cap, _INDEX_LIMIT):
         bound = f"cap is {cap}" if cap <= _INDEX_LIMIT else f"the int64 index limit is {_INDEX_LIMIT}"
         raise ResourceCapExceededError(f"purely test window needs {windows} window assignments, {bound}")
-    if layout is None:
-        if len(_layouts) >= _LAYOUT_LIMIT:
-            _layouts.clear()
-        layout = _layouts[neighborhood, q] = _PurelyLayout(reach, cells, q)
+    return _PurelyLayout(reach, cells, q)
+
+
+def _purely_sets(C: LocalRule, G: LocalRule, cap: int):
+    """The ``_purely_layout`` of (N, q), which is also the activation
+    family in order, and ``sweep(backward, i, bound)``, which finds set
+    i's least violating window in one direction (C then G, or G then C
+    when ``backward``): ``_least_zero_flip`` for {0}, ``_purely_sweep``
+    for the other sets.  A direction lists its first rule's ``_flips``
+    once, on first use, and derives the sweep's compressed flip table from
+    them: row p of the (q^(k-1), q) table, k = |M|, holds the flips whose
+    first k - 1 reads have index p, stored as the ``counts[p]`` entries
+    that end at ``ends[p]``, each a last read (``digits``, ascending) with
+    its new center state.
+    """
+    _require_pair(C, G)
+    q = C.q
+    layout = _purely_layout(C.neighborhood, q, cap)
     tables = (with_neighborhood(C, layout.reach).array, with_neighborhood(G, layout.reach).array)
-    flips = {}
+    listed = {}
 
     def sweep(backward: bool, i: int, bound: int | None):
+        if backward not in listed:
+            sources, centers, states = _flips(tables[backward], q, layout.w)
+            counts = np.bincount(sources // q, minlength=len(tables[backward]) // q)
+            digits = (sources % q).astype(states.dtype)
+            listed[backward] = (sources, centers, states), (counts, counts.cumsum(), digits, states)
+        flips, table = listed[backward]
         if i == 0:
-            return _least_zero_flip(layout, q, tables[backward], tables[not backward], bound)
-        if backward not in flips:
-            flips[backward] = _flip_table(tables[backward], q, len(layout.reach), layout.zero)
+            return _least_zero_flip(layout, q, flips, tables[not backward], bound)
         if i not in layout.plans:
             active = [x for x, bit in enumerate(layout.bits) if i & bit == bit]
             layout.plans[i] = _set_plan(active, layout.sums, layout.zero, len(layout.cells))
-        return _purely_sweep(q, layout.weights, layout.plans[i], flips[backward], tables[not backward], bound)
+        return _purely_sweep(q, layout.weights, layout.plans[i], table, tables[not backward], bound)
 
-    return layout.cells, layout, layout.weights, sweep
+    return layout, sweep
 
 
 def check_inverse_purely(
@@ -426,12 +430,12 @@ def check_inverse_purely(
     The clause for a set D constrains the windows in which the first rule
     changes every cell of D, and reads only S = D ∪ (D+N), so its least
     violating window is 0 outside S.  For D = {0}, S = M, and
-    ``_least_zero_flip`` finds it by one comparison of the two tables
-    widened to M.  For every other D, ``_purely_sweep`` finds it,
-    assigning only the cells of S, growing rows only by digits that flip,
-    and skips every window that cannot beat the least (window, D) found
-    so far.  The layout of (N, q), from T to each swept set's plan, is
-    built once per (N, q) and cached.
+    ``_least_zero_flip`` finds it among the first rule's flips over M,
+    read against the second rule's table widened to M.  For every other
+    D, ``_purely_sweep`` finds it, assigning only the cells of S, growing
+    rows only by digits that flip, and skips every window that cannot
+    beat the least (window, D) found so far.  The layout of (N, q), from T to each swept set's plan, is
+    built once per (N, q) and cap and cached.
 
     The sets of at most two cells decide the verdict.  Write "C flips c
     in x" for C(x|c+M) ≠ x_c, C_E x for x with every cell of E updated by
@@ -477,8 +481,8 @@ def check_inverse_purely(
     logical windows; ``workers`` is accepted and not used.
     """
     t0 = time.perf_counter()
-    cells, family, weights, sweep = _purely_sets(C, G, cap)
-    windows = C.q ** len(cells)
+    layout, sweep = _purely_sets(C, G, cap)
+    windows = C.q ** len(layout.cells)
 
     def least(backward: bool, sets: Iterable[int], best=None):
         """The least (window index, set, row) over ``sets`` in one
@@ -487,12 +491,12 @@ def check_inverse_purely(
             # a set before the best one in family order wins a tie
             row = sweep(backward, i, None if best is None else best[0] + (i < best[1]))
             if row is not None:
-                best = (int(row @ weights), i, row)
+                best = (int(row @ layout.weights), i, row)
         return best
 
     # {0} is set 0 and each {0, e} a power of two; a larger set has two bits
     # or more, and the larger sets are listed only when swept
-    small = [0, *(1 << j for j in range(len(family).bit_length() - 1))]
+    small = [0, *(1 << j for j in range(len(layout).bit_length() - 1))]
     zero_back = None
     for backward, clause in ((False, CLAUSE_PURELY_FORWARD), (True, CLAUSE_PURELY_BACKWARD)):
         # the backward pass starts from the backward {0}, which the forward pass swept
@@ -501,10 +505,10 @@ def check_inverse_purely(
             # the forward small sets hold, so the backward {0} decides the forward direction
             zero_back = least(True, small[:1])
         if best is not None or zero_back is not None:
-            best = least(backward, (i for i in range(len(family)) if i & (i - 1)), best)
+            best = least(backward, (i for i in range(len(layout)) if i & (i - 1)), best)
         if best is not None:
             _, i, row = best
-            witness = Witness(WindowConfig._canonical(cells, tuple(row.tolist())), family[i], clause)
+            witness = Witness(WindowConfig._canonical(layout.cells, tuple(row.tolist())), layout[i], clause)
             return _report(t0, windows, Verdict.NOT_INVERTIBLE, witness=witness)
     return _report(t0, windows, Verdict.INVERTIBLE, G)
 
@@ -599,9 +603,9 @@ def check_inverse_fully_1d(
     ``others`` the blocks it allows at the other candidates it reads.
     eq1 reads only the block at 0; eq2 reads the block at every
     candidate, where the partner must leave the block unfixed.  The cells
-    outside the blocks read stay 0, which gives the least window.  ``stats.windows`` counts q^|T| logical windows per
-    clause pair read.  The check refuses when q^|T| exceeds ``cap``, for
-    every neighborhood.
+    outside the blocks read stay 0, which gives the least window.
+    ``stats.windows`` counts q^|T| logical windows per clause pair read.
+    The check refuses when q^|T| exceeds ``cap``, for every neighborhood.
 
     The verdict quantifies over every configuration of Z, periodic or not.
     ``decide_fully_1d`` answers not-invertible, with clause eq2-delta, for
@@ -794,10 +798,10 @@ def two_predecessor_witness(rule: LocalRule) -> TwoPredecessorWitness | None:
     offsets = rule.neighborhood.offsets
     dim = rule.neighborhood.dimension
     weight = q ** (rule.arity - 1 - offsets.index(rule.neighborhood.origin))
-    index = next((idx for idx, out in enumerate(rule.table) if out != (idx // weight) % q), None)
-    if index is None:
+    sources, _, states = _flips(rule.array, q, weight)
+    if not len(sources):
         return None
-    successor_value = rule.table[index]
+    index, successor_value = int(sources[0]), int(states[0])
 
     # the copies around -d·e1 and +d·e1 share a cell exactly when two offsets
     # that agree past the first axis differ by 2d on it

@@ -63,8 +63,12 @@ def _integer(value: Any, what: str) -> int:
 
 
 def check_trace_size(size: int, steps: int) -> None:
-    """Refuse a trace of ``size`` cells and ``steps`` steps that would hold
-    more than ``_TRACE_ENTRIES`` entries, before anything is built."""
+    """Refuse a negative step count, and a trace of ``size`` cells and
+    ``steps`` steps that would hold more than ``_TRACE_ENTRIES`` entries,
+    before anything is built."""
+    # a negative count would make the product below pass
+    if steps < 0:
+        raise OutOfRangeError(f"step count must be non-negative, got {steps}")
     if (size + 1) * (steps + 1) > _TRACE_ENTRIES:
         raise ResourceCapExceededError(f"a trace of size {size} over {steps} steps exceeds {_TRACE_ENTRIES} entries")
 
@@ -105,8 +109,6 @@ def simulate(
     if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
         raise OutOfRangeError(f"activation probability must be a number in [0, 1], got {p!r}")
     steps = _integer(steps, "step count")
-    if steps < 0:
-        raise OutOfRangeError(f"step count must be non-negative, got {steps}")
     n = len(initial)
     check_trace_size(n, steps)
     offs = [off[0] for off in rule.neighborhood.offsets]

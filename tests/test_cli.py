@@ -443,6 +443,17 @@ class TestSimulate:
         assert (result.exit_code, result.stdout) == (2, "")
         assert capsys.readouterr().err == "error: a trace of size 1000000000 over 1 steps exceeds 1048576 entries\n"
 
+    def test_negative_steps_exit_two_before_drawing_the_lattice(self, run_cli, capsys, monkeypatch):
+        # (size + 1) * (steps + 1) is 0 here, so the count is refused on its own
+        def no_draw(seed):
+            raise AssertionError("the initial lattice was drawn")
+
+        monkeypatch.setattr(random, "Random", no_draw)
+        result = run_cli("simulate", "--wolfram", "110", "--scheme", "fully",
+                         "--size", "1000000000", "--steps", "-1", "--seed", "7")
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert capsys.readouterr().err == "error: step count must be non-negative, got -1\n"
+
     def test_bad_probability_exits_two(self, run_cli):
         result = run_cli("simulate", "--wolfram", "110", "--scheme", "purely",
                          "--size", "8", "--steps", "1", "--seed", "1", "--p", "1.5")

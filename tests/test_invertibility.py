@@ -36,6 +36,7 @@ from acainvert.errors import (
 from acainvert import invertibility
 from acainvert.core import add_cells
 from acainvert.invertibility import (
+    DEFAULT_WINDOW_CAP,
     DerivationConflict,
     Verdict,
     check_inverse_fully_1d,
@@ -541,11 +542,11 @@ def test_every_set_sweep_returns_a_window_that_replays(monkeypatch):
 
     def sweeps():
         for C, G in sweep_block_pairs():
-            cells, family, _, sweep = invertibility._purely_sets(C, G, 1 << 62)
+            layout, sweep = invertibility._purely_sets(C, G, 1 << 62)
             for backward in (False, True):
-                for i, active in enumerate(family):
+                for i, active in enumerate(layout):
                     row = sweep(backward, i, None)
-                    yield C, G, backward, cells, active, None if row is None else tuple(row.tolist())
+                    yield C, G, backward, layout.cells, active, None if row is None else tuple(row.tolist())
 
     swept = list(sweeps())
     witnesses = 0
@@ -584,7 +585,7 @@ def test_padded_bar_pair_holds_in_smaller_blocks(monkeypatch, expansions):
 def set_holds(C, G):
     """The activation family and, per direction (forward, then backward),
     whether each set's clause holds, every set swept on its own."""
-    _, family, _, sweep = invertibility._purely_sets(C, G, 1 << 62)
+    family, sweep = invertibility._purely_sets(C, G, 1 << 62)
     return family, [[sweep(backward, i, None) is None for i in range(len(family))] for backward in (False, True)]
 
 
@@ -709,14 +710,14 @@ def assert_zero_set_is_the_brute_force(C, G):
     """``sweep(backward, 0, bound)`` returns the brute-force row in each
     direction, and only when its window index is below ``bound``.  Returns
     the rows."""
-    _, _, weights, sweep = invertibility._purely_sets(C, G, 1 << 62)
+    layout, sweep = invertibility._purely_sets(C, G, 1 << 62)
     rows = []
     for backward, (A, B) in ((False, (C, G)), (True, (G, C))):
         row = sweep(backward, 0, None)
         expected = least_unreturned_zero_flip(A, B)
         assert (None if row is None else tuple(row.tolist())) == expected, (C, G, backward)
         if row is not None:
-            index = int(row @ weights)
+            index = int(row @ layout.weights)
             assert sweep(backward, 0, index) is None
             assert tuple(sweep(backward, 0, index + 1).tolist()) == expected
         rows.append(expected)
@@ -766,7 +767,7 @@ def sample_reports(rules):
 
 
 def clear_layout_caches():
-    invertibility._layouts.clear()
+    invertibility._purely_layout.cache_clear()
     invertibility._fully_layout.cache_clear()
 
 
@@ -805,16 +806,17 @@ def test_layout_caches_give_the_bytes_of_a_fresh_interpreter(tmp_path):
 
 
 def test_cached_layout_arrays_are_read_only():
-    """Every check of one (N, q) reads the same cached weights, so no
-    caller may write to them."""
-    check_inverse_purely(eca_from_wolfram(30), eca_from_wolfram(30))
-    layout = invertibility._layouts[eca_from_wolfram(30).neighborhood, 2]
+    """Every check of one (N, q) and cap reads the same cached weights, so
+    no caller may write to them."""
+    C = eca_from_wolfram(30)
+    check_inverse_purely(C, C)
+    layout = invertibility._purely_layout(C.neighborhood, 2, DEFAULT_WINDOW_CAP)
     with pytest.raises(ValueError):
         layout.weights[0] = 1
-    cells, _, weights, _ = invertibility._purely_sets(eca_from_wolfram(30), eca_from_wolfram(30), 1 << 62)
-    assert weights is layout.weights and cells is layout.cells
+    same, _ = invertibility._purely_sets(C, C, DEFAULT_WINDOW_CAP)
+    assert same is layout
     with pytest.raises(ValueError):
-        weights[-1] += 1
+        same.weights[-1] += 1
 
 
 def test_layouts_are_kept_per_neighborhood_and_alphabet():
@@ -822,25 +824,87 @@ def test_layouts_are_kept_per_neighborhood_and_alphabet():
     index weights of its own q."""
     for q in (2, 3, 2):
         C = LocalRule(Alphabet(q), Neighborhood.line(-1, 0, 1), [0] * q**3)
-        cells, _, weights, _ = invertibility._purely_sets(C, C, 1 << 62)
-        assert weights.tolist() == [q ** (len(cells) - 1 - x) for x in range(len(cells))]
+        layout, _ = invertibility._purely_sets(C, C, 1 << 62)
+        assert layout.weights.tolist() == [q ** (len(layout.cells) - 1 - x) for x in range(len(layout.cells))]
 
 
 def test_refused_layout_is_not_cached():
     """A q^|T| over the cap is refused before the layout is built, so the
-    refused (N, q) leaves no cache entry; once cached, a smaller cap still
-    refuses it."""
+    refused (N, q, cap) leaves no cache entry; once (N, q) is cached under
+    a larger cap, the smaller cap still refuses it."""
     # the identity on (-3, 0, 5); T = {-6, -3, 0, 2, 5, 10}, so 2^6 windows
     C = rule_of([0, 0, 1, 1, 0, 0, 1, 1], -3, 0, 5)
-    key = (C.neighborhood, 2)
     clear_layout_caches()
     with pytest.raises(ResourceCapExceededError):
         check_inverse_purely(C, C, cap=2**6 - 1)
-    assert key not in invertibility._layouts
+    assert invertibility._purely_layout.cache_info().currsize == 0
     assert check_inverse_purely(C, C, cap=2**6).verdict is Verdict.INVERTIBLE
-    assert key in invertibility._layouts
+    assert invertibility._purely_layout.cache_info().currsize == 1
     with pytest.raises(ResourceCapExceededError):
         check_inverse_purely(C, C, cap=2**6 - 1)
+    assert invertibility._purely_layout.cache_info().currsize == 1
+
+
+def test_one_neighborhood_under_two_caps_gives_the_same_reports():
+    """Layouts are cached per (N, q) and cap, so deciding the sample under
+    a second cap builds each layout again; the report bytes are the same."""
+    rules = cache_sample()
+    clear_layout_caches()
+    reports, sizes = [], []
+    for cap in (DEFAULT_WINDOW_CAP, 1 << 62):
+        reports.append(json.dumps([decide_purely(rule, window_cap=cap).to_dict() for rule in rules]))
+        sizes.append(invertibility._purely_layout.cache_info().currsize)
+    assert reports[0] == reports[1]
+    assert sizes[1] == 2 * sizes[0] > 0
+
+
+def test_layout_cache_evicts_without_changing_reports():
+    """300 binary pairs on (0, d), d = 1 .. 300, need 300 layouts, more
+    than the cache holds; the checks give the reports each gives from an
+    empty cache, also when its layout was evicted and is built again."""
+    rng = random.Random(27)
+    pairs = []
+    for d in range(1, 301):
+        C = rule_of([rng.randrange(2) for _ in range(4)], 0, d)
+        candidate = derive_candidate_inverse(C)
+        pairs.append((C, candidate if isinstance(candidate, LocalRule) else _partner(rng, C)))
+    fresh = []
+    for C, G in pairs:
+        clear_layout_caches()
+        fresh.append(check_inverse_purely(C, G).to_dict())
+    clear_layout_caches()
+    assert [check_inverse_purely(C, G).to_dict() for C, G in pairs] == fresh
+    info = invertibility._purely_layout.cache_info()
+    assert (info.currsize, info.misses) == (256, 300)
+    # the 44 least recently used layouts were evicted
+    assert [check_inverse_purely(C, G).to_dict() for C, G in pairs[:44]] == fresh[:44]
+    assert invertibility._purely_layout.cache_info().misses == 344
+    assert {doc["verdict"] for doc in fresh} == {"invertible", "not-invertible"}
+
+
+def shift_bar_pair(q):
+    pair = build_bar_pair(*shift_pair(q))
+    return pair.forward, pair.backward
+
+
+FLIP_LIST_PAIRS = {
+    "shift-bar-q4": lambda: shift_bar_pair(4),
+    "failing-backward-zero": lambda: (eca_from_wolfram(4), eca_from_wolfram(236)),
+    "zero-reach": lambda: (rule_of([1, 0], 0), rule_of([1, 0], 0)),
+}
+
+
+@pytest.mark.parametrize("name", FLIP_LIST_PAIRS)
+def test_each_direction_lists_its_flips_once(monkeypatch, name):
+    """A check lists each direction's flips once, whichever of {0}, the
+    small sets and the larger sets it sweeps: two ``_flips`` calls on two
+    different tables."""
+    C, G = FLIP_LIST_PAIRS[name]()
+    tables = []
+    flips = invertibility._flips
+    monkeypatch.setattr(invertibility, "_flips", lambda tab, q, w: tables.append(tab) or flips(tab, q, w))
+    check_inverse_purely(C, G, cap=1 << 62)
+    assert len(tables) == 2 and tables[0] is not tables[1]
 
 
 def test_invertible_pair_builds_plans_for_the_two_cell_sets_only(monkeypatch):
@@ -877,13 +941,13 @@ def test_tie_on_the_least_window_goes_to_the_earlier_set(offsets, delta, gamma, 
     bound; the earlier three-cell set must still win the tie."""
     C = rule_of(delta, *offsets)
     G = rule_of(gamma, *offsets)
-    _, family, weights, sweep = invertibility._purely_sets(C, G, 1 << 62)
+    family, sweep = invertibility._purely_sets(C, G, 1 << 62)
     backward = clause == "purely-backward"
     least = {}
     for i in range(len(family)):
         row = sweep(backward, i, None)
         if row is not None:
-            least[i] = int(row @ weights)
+            least[i] = int(row @ family.weights)
     window = min(least.values())
     ties = [i for i in sorted(least) if least[i] == window]
     assert len(family[ties[0]]) == 3 and any(len(family[i]) == 2 for i in ties[1:])
