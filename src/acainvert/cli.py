@@ -76,10 +76,11 @@ def _print_json(doc) -> None:
 
 def _print_trace_json(trace: Trace) -> None:
     """Print ``trace.to_dict()`` as ``json.dumps(..., indent=2)`` would,
-    building the dicts of 2^10 steps at a time: the trace without its
-    steps ends in ``"steps": []``, and each batch of steps is dumped as a
-    list whose items, without its brackets, are indented to the depth of
-    that list."""
+    building the dicts of a batch of steps at a time, about 2^12 entries
+    (a state per cell and a record per step) whatever the lattice width:
+    the trace without its steps ends in ``"steps": []``, and each batch
+    of steps is dumped as a list whose items, without its brackets, are
+    indented to the depth of that list."""
     head = json.dumps(dataclasses.replace(trace, steps=()).to_dict(), indent=2)
     if not trace.steps:
         print(head)
@@ -87,8 +88,9 @@ def _print_trace_json(trace: Trace) -> None:
     # drop the "]\n}" that closes the empty list and the document
     sys.stdout.write(head[:-3])
     encode = json.JSONEncoder(indent=2).encode
-    for start in range(0, len(trace.steps), 1 << 10):
-        batch = encode([step.to_dict() for step in trace.steps[start : start + (1 << 10)]])
+    rows = max(1, (1 << 12) // (len(trace.initial) + 1))
+    for start in range(0, len(trace.steps), rows):
+        batch = encode([step.to_dict() for step in trace.steps[start : start + rows]])
         # "[" + items + "\n]"; items after the first batch follow a comma
         sys.stdout.write(("," if start else "") + batch[1:-2].replace("\n", "\n  "))
     sys.stdout.write("\n  ]\n}\n")

@@ -19,6 +19,7 @@ reads or writes uses it, including ``atlas.PURELY_INVERTIBLE_ECA`` and
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import numbers
 from dataclasses import dataclass, field
@@ -221,7 +222,8 @@ class WindowConfig:
     """An assignment of states to a finite set of cells.
 
     Cells are kept sorted lexicographically, so two configurations over the
-    same domain compare equal exactly when their states agree cell by cell.
+    same domain compare equal exactly when their states agree cell by cell,
+    and a cell's position is found by bisecting the cells.
     """
 
     cells: tuple[Cell, ...]
@@ -253,31 +255,32 @@ class WindowConfig:
         cells = tuple((start + i,) for i in range(len(states)))
         return cls(cells, tuple(states))
 
-    @cached_property
-    def _index(self) -> dict[Cell, int]:
-        return {c: i for i, c in enumerate(self.cells)}
-
     @property
     def dimension(self) -> int:
         if not self.cells:
             raise ValueError("empty window has no dimension")
         return len(self.cells[0])
 
+    def _position(self, cell: Cell) -> int | None:
+        """The index of ``cell`` in the sorted ``cells``, or None when it is absent."""
+        pos = bisect.bisect_left(self.cells, cell)
+        return pos if pos < len(self.cells) and self.cells[pos] == cell else None
+
     def __getitem__(self, cell: int | Sequence[int]) -> int:
         if not self.cells:
             raise OutOfDomainError(f"cell {cell} not in empty window")
-        key = as_cell(cell, self.dimension)
-        if key not in self._index:
+        pos = self._position(as_cell(cell, self.dimension))
+        if pos is None:
             raise OutOfDomainError(f"cell {cell} not in window domain")
-        return self.states[self._index[key]]
+        return self.states[pos]
 
     def __contains__(self, cell: Cell) -> bool:
-        return cell in self._index
+        return self._position(cell) is not None
 
     def with_updates(self, updates: Mapping[Cell, int]) -> "WindowConfig":
         states = list(self.states)
         for cell, value in updates.items():
-            pos = self._index.get(tuple(cell))
+            pos = self._position(tuple(cell))
             if pos is None:
                 raise OutOfDomainError(f"cell {cell} not in window domain")
             states[pos] = int(value)
@@ -301,11 +304,11 @@ def step(rule: LocalRule, config: WindowConfig, active: Iterable[int | Sequence[
     dim = rule.neighborhood.dimension
     cells = {as_cell(a, dim) for a in active}
     states = list(config.states)
-    index = config._index
     for a in sorted(cells):
-        if a not in index:
+        pos = config._position(a)
+        if pos is None:
             raise OutOfDomainError(f"active cell {a} not in window domain")
-        states[index[a]] = rule.apply_local(local_config(config, a, rule.neighborhood))
+        states[pos] = rule.apply_local(local_config(config, a, rule.neighborhood))
     return WindowConfig._canonical(config.cells, tuple(states))
 
 

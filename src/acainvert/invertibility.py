@@ -112,7 +112,7 @@ DEFAULT_WINDOW_CAP = 1 << 24
 _INDEX_LIMIT = 1 << 62
 
 # two_predecessor_witness refuses windows of more cells; building, checking and
-# printing one this large through the CLI peaks near 455 MB
+# printing one this large through the CLI peaks near 315 MB
 _WITNESS_CELLS = 1 << 20
 
 

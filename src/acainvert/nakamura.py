@@ -112,15 +112,16 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
         raise NeighborhoodMismatchError("bar construction needs a shared dimension")
     shared = C.neighborhood.union(G.neighborhood).symmetrized_with_origin()
     q = C.q
-    alphabet = bar_alphabet(q)
     center = shared.offsets.index(shared.origin)
     arity = len(shared)
-    size = alphabet.size
-    # checked before widening, which alone can take minutes at large q
+    size = 3 * q * q
+    # checked before widening, which alone can take minutes at large q, and
+    # before the bar alphabet, which refuses more than 2**63 states
     if size**arity > np.iinfo(np.intp).max:
         raise ResourceCapExceededError(
             f"bar tables need {size}^{arity} entries, more than numpy can index ({np.iinfo(np.intp).max})"
         )
+    alphabet = bar_alphabet(q)
     delta = with_neighborhood(C, shared)
     gamma = with_neighborhood(G, shared)
 

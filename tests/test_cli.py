@@ -252,6 +252,17 @@ class TestNakamura:
         assert capsys.readouterr().err.startswith("error: bar tables need 300000000^3 entries")
         assert not (tmp_path / "bar").exists()
 
+    def test_bar_alphabet_past_2_63_states_exits_two(self, run_cli, tmp_path, capsys):
+        """A 2^32-state base rule would need 3·2^64 bar states, more than an
+        alphabet holds: a one-line error, exit 2, and no out-dir."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dimension": 1, "alphabet": 1 << 32, "neighborhood": [], "table": [0]}))
+        result = run_cli("nakamura", "--rule", str(path), "--inverse", str(path), "--out-dir", str(tmp_path / "bar"))
+        assert (result.exit_code, result.stdout) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: bar tables need 55340232221128654848^1 entries") and err.count("\n") == 1
+        assert not (tmp_path / "bar").exists()
+
     def test_build_out_of_memory_exits_two(self, run_cli, tmp_path, capsys, monkeypatch):
         """A table numpy can index may still not fit (the q = 64 shift pair
         asks for 3.38 TiB); the build's MemoryError is a one-line error.
@@ -399,11 +410,16 @@ class TestSimulate:
         ("fully", 7, 2500, "0.5"),
         ("purely", 9, 2049, "0.1"),
         ("purely", 5, 0, "0.5"),
+        ("purely", 1364, 7, "0.5"),
+        ("fully", 4096, 2, "0.5"),
+        ("purely", 3, 2050, "0.3"),
     ])
     def test_json_is_the_bytes_of_the_whole_document(self, run_cli, scheme, size, steps, p):
-        """The trace is printed one batch of steps at a time; the bytes are
-        those of ``json.dumps`` on the whole trace.  The traces span several
-        batches, the purely one has steps with no active cell, and the
+        """The trace is printed one batch of about 2^12 entries at a time;
+        the bytes are those of ``json.dumps`` on the whole trace.  The
+        traces span several batches, whose last is short at widths 1364 (3
+        steps a batch), 3 (1,024) and 7 (512), and holds one step at width
+        4096; the purely traces have steps with no active cell, and the
         zero-step trace prints ``"steps": []``."""
         result = run_cli("simulate", "--wolfram", "110", "--scheme", scheme, "--size", str(size),
                          "--steps", str(steps), "--seed", "3", "--p", p, "--format", "json")

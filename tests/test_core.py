@@ -304,6 +304,15 @@ def test_windows_built_by_step_and_with_updates_match_the_public_constructor():
         updated = stepped.with_updates({window.cells[0]: np.uint8(1), window.cells[-1]: 2 % rule.q})
         assert_like_public_window(updated)
         assert updated.states[0] == 1
+        # lookups, updates and steps leave every window its two fields and nothing cached
+        for w in (window, stepped, updated):
+            assert vars(w).keys() == {"cells", "states"}
+    gapped = WindowConfig(((0,), (2,)), (1, 0))
+    assert (1,) not in gapped and (0, 0) not in gapped and (0, 0) not in line
+    for absent in ((1,), (3,), (-1,)):
+        with pytest.raises(OutOfDomainError, match="not in window domain"):
+            gapped[absent]
+    assert (0,) not in WindowConfig((), ())
 
 
 class TestStep:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 
 import pytest
 
@@ -16,7 +17,7 @@ from acainvert import (
     minimize_neighborhood,
     with_neighborhood,
 )
-from acainvert.errors import AlphabetMismatchError, NeighborhoodMismatchError
+from acainvert.errors import AlphabetMismatchError, NeighborhoodMismatchError, ResourceCapExceededError
 from acainvert.invertibility import Verdict, check_inverse_purely
 from acainvert.rulefmt import dump_rule
 from acainvert.nakamura import (
@@ -155,6 +156,15 @@ class TestBuildBarPair:
         right = LocalRule(Alphabet(2), Neighborhood.line(2), (0, 1))
         pair = build_bar_pair(left, right)
         assert pair.neighborhood == Neighborhood.line(-2, -1, 0, 1, 2)
+
+    @pytest.mark.parametrize("q", [math.isqrt((1 << 63) // 3) + 1, 1 << 32])
+    def test_bar_alphabet_past_2_63_states_is_a_cap_error(self, q):
+        """From the least q with 3q^2 > 2^63, the bar alphabet is larger
+        than an alphabet may be; the table size is checked first, so the
+        build refuses with a cap error, not a ValueError."""
+        rule = LocalRule(Alphabet(q), Neighborhood(1, ()), (0,))
+        with pytest.raises(ResourceCapExceededError, match=rf"bar tables need {3 * q * q}\^1 entries"):
+            build_bar_pair(rule, rule)
 
     def test_alphabet_mismatch(self):
         q3 = LocalRule(Alphabet(3), Neighborhood.line(0), (0, 1, 2))
