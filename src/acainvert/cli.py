@@ -28,7 +28,7 @@ from .invertibility import (
     two_predecessor_witness,
 )
 from .nakamura import build_bar_pair, verify_theorem1  # noqa: F401 (read as cli.verify_theorem1)
-from .rulefmt import dump_rule, load_rule
+from .rulefmt import dump_rule, load_rule, write_json
 from .simulate import Trace, check_trace_size, simulate
 
 EXIT_OK = 0
@@ -78,22 +78,14 @@ def _print_trace_json(trace: Trace) -> None:
     """Print ``trace.to_dict()`` as ``json.dumps(..., indent=2)`` would,
     building the dicts of a batch of steps at a time, about 2^12 entries
     (a state per cell and a record per step) whatever the lattice width:
-    the trace without its steps ends in ``"steps": []``, and each batch
-    of steps is dumped as a list whose items, without its brackets, are
-    indented to the depth of that list."""
-    head = json.dumps(dataclasses.replace(trace, steps=()).to_dict(), indent=2)
-    if not trace.steps:
-        print(head)
-        return
-    # drop the "]\n}" that closes the empty list and the document
-    sys.stdout.write(head[:-3])
+    each batch is dumped as a list, and its items, without the brackets,
+    are indented to the depth of ``"steps"`` for ``write_json``."""
     encode = json.JSONEncoder(indent=2).encode
     rows = max(1, (1 << 12) // (len(trace.initial) + 1))
-    for start in range(0, len(trace.steps), rows):
-        batch = encode([step.to_dict() for step in trace.steps[start : start + rows]])
-        # "[" + items + "\n]"; items after the first batch follow a comma
-        sys.stdout.write(("," if start else "") + batch[1:-2].replace("\n", "\n  "))
-    sys.stdout.write("\n  ]\n}\n")
+    # "[\n  " + items + "\n]"
+    batches = (encode([step.to_dict() for step in trace.steps[start : start + rows]])[4:-2].replace("\n", "\n  ")
+               for start in range(0, len(trace.steps), rows))
+    write_json(dataclasses.replace(trace, steps=()).to_dict(), "steps", batches, sys.stdout.write)
 
 
 def _verdict_exit(verdict: Verdict) -> int:

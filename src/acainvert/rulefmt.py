@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -30,6 +30,10 @@ __all__ = [
 
 # table entries dump_rule renders at once; bounds its working memory
 _WRITE_BLOCK = 1 << 14
+
+# rule documents of more dimensions are refused: every cell holds one int per axis,
+# and the window and trace bounds are 2^20 too
+_MAX_DIMENSION = 1 << 20
 
 
 def _rule_fields(rule: LocalRule) -> dict[str, Any]:
@@ -69,6 +73,8 @@ def rule_from_dict(doc: Any) -> LocalRule:
         table = _integer_list(doc["table"], "table")
     except KeyError as exc:
         raise RuleFormatError(f"rule document missing field: {exc}") from exc
+    if dimension > _MAX_DIMENSION:
+        raise RuleFormatError(f"dimension {dimension} is above {_MAX_DIMENSION}")
     if not isinstance(raw_offsets, list):
         raise RuleFormatError(f"neighborhood must be a list, got {raw_offsets!r}")
     offsets = [
@@ -92,18 +98,36 @@ def load_rule(path: str | Path) -> LocalRule:
     return rule_from_dict(doc)
 
 
+def write_json(doc: dict[str, Any], key: str, blocks: Iterable[str], write: Callable[[str], Any]) -> None:
+    """Write ``json.dumps(doc, indent=2)`` and a newline through ``write``,
+    with the empty top-level list ``doc[key]`` filled from ``blocks``.
+
+    json encodes an indented document item by item in Python, so a long
+    list goes through json empty and its items are written in its place.
+    Each block is items already rendered at depth 2 (four spaces) and
+    joined by ``",\n    "``; no blocks leave the list empty.
+    """
+    # the only line that starts with exactly two spaces and the key is the
+    # top-level key: deeper keys are indented further, and JSON strings hold
+    # no raw newline; the tail starts with the list's "]"
+    head, field, tail = json.dumps(doc, indent=2).partition(f"\n  {json.dumps(key)}: [")
+    write(head + field)
+    close = ""
+    for block in blocks:
+        write(("," if close else "") + "\n    " + block)
+        close = "\n  "
+    write(close + tail + "\n")
+
+
 def dump_rule(rule: LocalRule, path: str | Path, extra: dict[str, Any] | None = None) -> None:
     """Write the rule document, plus the fields of ``extra``, as
     ``json.dumps(doc, indent=2)`` and a newline.
 
-    json encodes an indented document item by item in Python, so only the
-    rest of the document goes through json, with an empty table; the
-    table's items are written in its place, ``_WRITE_BLOCK`` entries at a
+    The table goes through ``write_json``, ``_WRITE_BLOCK`` entries at a
     time, each entry looked up in a table of state strings.  That table
     holds the strings of 0 .. max(table) when they number at most a block,
     and otherwise each block's entries are converted one by one, so it is
-    never sized by q.  The bytes are json's.  ``extra`` may not replace a
-    rule field.
+    never sized by q.  ``extra`` may not replace a rule field.
     """
     doc = {**_rule_fields(rule), "table": []}
     if extra:
@@ -111,20 +135,13 @@ def dump_rule(rule: LocalRule, path: str | Path, extra: dict[str, Any] | None = 
         if clash:
             raise ValueError(f"extra fields {clash} would replace rule fields")
         doc.update(extra)
-    # the only line that starts with exactly two spaces and "table" is the
-    # top-level key: deeper keys are indented further, and JSON strings
-    # hold no raw newline
-    head, tail = json.dumps(doc, indent=2).split('\n  "table": []', 1)
     array = rule.array
     top = int(array.max()) + 1
     strings = np.array([str(v) for v in range(top)], dtype=object) if top <= _WRITE_BLOCK else None
+    blocks = (array[lo : lo + _WRITE_BLOCK] for lo in range(0, len(array), _WRITE_BLOCK))
+    items = (strings[block].tolist() if strings is not None else map(str, block.tolist()) for block in blocks)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(head + '\n  "table": [\n    ')
-        for lo in range(0, len(array), _WRITE_BLOCK):
-            block = array[lo : lo + _WRITE_BLOCK]
-            items = strings[block].tolist() if strings is not None else map(str, block.tolist())
-            f.write((",\n    " if lo else "") + ",\n    ".join(items))
-        f.write("\n  ]" + tail + "\n")
+        write_json(doc, "table", map(",\n    ".join, items), f.write)
 
 
 def window_to_dict(window: WindowConfig) -> dict[str, Any]:

@@ -48,6 +48,22 @@ def test_non_positive_cap_exits_two_before_any_work(run_cli, tmp_path, command, 
     assert not (tmp_path / "bar").exists() and not (tmp_path / "atlas.json").exists()
 
 
+@pytest.mark.parametrize("command", ["decide", "witness-r2", "nakamura"])
+def test_rule_file_past_the_dimension_bound_exits_two(run_cli, tmp_path, capsys, command):
+    """A 70-byte file of 10^9 dimensions is refused as it loads: exit 2,
+    one stderr line, nothing on stdout and no out-dir."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"dimension": 10**9, "alphabet": 2, "neighborhood": [], "table": [1]}))
+    argv = {"decide": ["--rule", str(path), "--scheme", "purely"], "witness-r2": ["--rule", str(path)],
+            "nakamura": ["--rule", str(path), "--inverse", str(path), "--out-dir", str(tmp_path / "bar")]}
+    t0 = time.perf_counter()
+    result = run_cli(command, *argv[command])
+    assert time.perf_counter() - t0 < 10
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert capsys.readouterr().err == "error: dimension 1000000000 is above 1048576\n"
+    assert not (tmp_path / "bar").exists()
+
+
 class TestDecide:
     def test_invertible_rule_exits_zero(self, run_cli):
         result = run_cli("decide", "--wolfram", "204", "--scheme", "purely")

@@ -22,6 +22,7 @@ from acainvert.rulefmt import (
     rule_from_dict,
     rule_to_dict,
     window_to_dict,
+    write_json,
 )
 
 from test_nakamura import bar_table_inputs
@@ -112,6 +113,38 @@ def test_integer_offsets_accepted():
 def test_malformed_rules_rejected(doc):
     with pytest.raises(RuleFormatError):
         rule_from_dict(doc)
+
+
+def test_dimension_above_the_bound_is_refused():
+    """A rule document may have up to 2^20 dimensions: the origin alone is
+    a tuple of that many ints, so 10^9 would need gigabytes."""
+    doc = {"dimension": 1 << 20, "alphabet": 2, "neighborhood": [], "table": [1]}
+    assert rule_from_dict(doc).neighborhood.dimension == 1 << 20
+    with pytest.raises(RuleFormatError, match="dimension 1048577 is above 1048576"):
+        rule_from_dict({**doc, "dimension": (1 << 20) + 1})
+
+
+# values whose indented text spans several lines at depth 2
+_NESTED = [{"a": [1, [2, 3]], "b": {}}, [], [[]], "s", None, {"c": {"d": [4]}}]
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("sizes", [(), (1,), (3,), (1, 1, 1), (2, 1, 3)], ids=str)
+def test_write_json_is_json_dumps(position, sizes):
+    """``write_json`` writes the bytes of ``json.dumps(doc, indent=2)`` and
+    a newline, with the key anywhere among keys holding nested dicts and
+    lists, and the list's items split into any blocks (none, one, or
+    blocks of one item)."""
+    before = {"first": {}, "middle": {"n": 1, "nested": {"x": [1, 2]}}, "last": {"n": 1}}[position]
+    after = {"first": {"more": [[1, {"y": []}]], "z": {"w": [0]}}, "middle": {"tail": [{"k": "v"}]},
+             "last": {}}[position]
+    items = [_NESTED[i % len(_NESTED)] if i % 2 else i for i in range(sum(sizes))]
+    rendered = [json.dumps(item, indent=2).replace("\n", "\n    ") for item in items]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    blocks = [",\n    ".join(rendered[a:b]) for a, b in zip(starts, starts[1:])]
+    chunks = []
+    write_json({**before, "list": [], **after}, "list", iter(blocks), chunks.append)
+    assert "".join(chunks) == json.dumps({**before, "list": items, **after}, indent=2) + "\n"
 
 
 def test_file_round_trip(tmp_path):
