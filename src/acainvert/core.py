@@ -293,9 +293,10 @@ def local_config(config: WindowConfig, cell: int | Sequence[int], neighborhood: 
     out = []
     for n in neighborhood.offsets:
         target = add_cells(base, n)
-        if target not in config:
+        pos = config._position(target)
+        if pos is None:
             raise OutOfDomainError(f"neighbor {target} of cell {base} not in window domain")
-        out.append(config[target])
+        out.append(config.states[pos])
     return tuple(out)
 
 

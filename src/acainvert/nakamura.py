@@ -5,7 +5,10 @@ Each cell of the transformed automaton carries a bar state: the current
 state, the previous state, and a mod-3 time stamp.  A cell may advance
 (apply the forward rule and increment its stamp) only when no neighbor
 lags behind it and its stored previous state is consistent with the
-backward rule; the mirror condition governs retreating.  For a synchronous
+backward rule.  Retreating under (C, G) is advancing under (G, C) in
+reversed time: with sigma the involution on bar states that swaps curr
+and old and negates the stamp, applied cellwise, the backward rule of
+(C, G) is sigma ∘ forward(G, C) ∘ sigma.  For a synchronous
 inverse pair (C, G) the two transformed rules are inverses under the
 purely asynchronous scheme; :func:`verify_theorem1` runs the exact
 finite-window check on the transformed pair, which tests the tables, not
@@ -101,8 +104,11 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
     A bar table has one axis per offset, indexed by the bar code read
     there.  Curr, old and stamp are decoded once per bar code; laid along
     each offset's own axis, they broadcast to everything the tables need.
-    The tables are filled in slabs that fix the leading axes, one index or
-    a run of them at a time, so that a slab holds at most
+    One move formula fills both tables: the forward table is the forward
+    rule of (C, G), and the backward table is sigma ∘ forward(G, C) ∘
+    sigma, where sigma(curr·3q + old·3 + t) = old·3q + curr·3 + (-t mod 3)
+    on each code.  The tables are filled in slabs that fix the leading
+    axes, one index or a run of them at a time, so that a slab holds at most
     ``_TABLE_BLOCK`` entries.  Tables of more entries than numpy can
     index raise ``ResourceCapExceededError`` before anything is built.
     """
@@ -122,21 +128,37 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
             f"bar tables need {size}^{arity} entries, more than numpy can index ({np.iinfo(np.intp).max})"
         )
     alphabet = bar_alphabet(q)
-    delta = with_neighborhood(C, shared)
-    gamma = with_neighborhood(G, shared)
 
     # per bar code, in intp: a bar code reaches 3q^2 - 1, which wraps in
     # the base tables' narrow dtype
     code = np.arange(size)
     curr, old, stamp = code // (3 * q), code // 3 % q, code % 3
-    later, earlier = (stamp + 1) % 3, (stamp - 1) % 3
-    # a moved center's fields other than the one the base rule fills
-    advanced, retreated = curr * 3 + later, old * (3 * q) + earlier
+    later = (stamp + 1) % 3
+    # an advanced center's old and stamp
+    advanced = curr * 3 + later
+    # sigma: swap curr and old, negate the stamp; an involution
+    reverse = old * (3 * q) + curr * 3 + (-stamp) % 3
     weights = q ** np.arange(arity - 1, -1, -1)
-    dtab = delta.array.astype(np.intp)
-    gtab = gamma.array.astype(np.intp)
-    # the base outputs placed in the curr (forward) or old (backward) field
-    dcurr, gold = dtab * (3 * q), gtab * 3
+    # the base tables widened to the shared offsets
+    dtab, gtab = (with_neighborhood(rule, shared).array.astype(np.intp) for rule in (C, G))
+
+    def advance(fill, check, axes, same):
+        """The forward bar rule at the codes ``axes``: the center advances
+        when its old equals ``check`` on the current view, taking
+        ``fill``, a base table scaled into the curr field, as its new
+        curr.  ``same`` marks the neighbors whose stamp is the center's."""
+        me = axes[center]
+        t0 = stamp[me]
+        # some neighbor is a tick behind the center
+        ahead = functools.reduce(np.logical_or, [later[a] == t0 for a in axes])
+        # the current base view as a flat base-table index: a neighbor a
+        # tick ahead of the center is read by its old state.  It is used
+        # only where no neighbor lags, where it is defined
+        now = sum(np.where(s, curr[a], old[a]) * w for s, a, w in zip(same, axes, weights))
+        # where the center cannot move, it keeps its code
+        return np.where(~ahead & (old[me] == check[now]), fill[now] + advanced[me], me)
+
+    dfill, gfill = dtab * (3 * q), gtab * (3 * q)
     # a slab fixes the first ``lead`` axes and spans the ``rest``
     lead = next(k for k in range(arity + 1) if size ** (arity - k) <= _TABLE_BLOCK)
     rest = arity - lead
@@ -152,25 +174,17 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
         prefix = np.arange(lo, hi)
         axes = [(prefix // size ** (lead - 1 - j) % size).reshape((-1,) + (1,) * rest) for j in range(lead)]
         axes += [code.reshape((1,) * (1 + i) + (-1,) + (1,) * (rest - 1 - i)) for i in range(rest)]
-        me = axes[center]
-        t0 = stamp[me]
-        # ahead: some neighbor is a tick behind the center; behind: one is a tick ahead
-        ahead = functools.reduce(np.logical_or, [later[a] == t0 for a in axes])
-        behind = functools.reduce(np.logical_or, [earlier[a] == t0 for a in axes])
-        # the base-rule views as flat base-table indices: the current view
-        # reads a neighbor a tick ahead of the center by its old state, the
-        # previous view one a tick behind by its curr.  Each is used only
-        # where no neighbor lags (now) or leads (before) the center, where
-        # it is defined
-        same = [stamp[a] == t0 for a in axes]
-        now = sum(np.where(s, curr[a], old[a]) * w for s, a, w in zip(same, axes, weights))
-        before = sum(np.where(s, old[a], curr[a]) * w for s, a, w in zip(same, axes, weights))
-        advance = ~ahead & (old[me] == gtab[now])
-        retreat = ~behind & (curr[me] == dtab[before])
+        # sigma keeps equal stamps equal, so both directions share ``same``
+        same = [stamp[a] == stamp[axes[center]] for a in axes]
         block = slice(lo * span, hi * span)
-        # where the center cannot move, it keeps its code
-        forward_table[block] = np.where(advance, dcurr[now] + advanced[me], me).ravel()
-        backward_table[block] = np.where(retreat, gold[before] + retreated[me], me).ravel()
+        forward = advance(dfill, gtab, axes, same)
+        # retreating under (C, G) is advancing under (G, C) in reversed time
+        backward = reverse[advance(gfill, dtab, [reverse[a] for a in axes], same)]
+        # both are stored only now: freeing the forward slab before the
+        # backward one is built let the allocator return the heap and fault
+        # it back in every slab (under glibc, 942 minor faults per q = 4
+        # build instead of 220)
+        forward_table[block], backward_table[block] = forward.ravel(), backward.ravel()
     return BarRulePair(
         forward=LocalRule(alphabet, shared, forward_table),
         backward=LocalRule(alphabet, shared, backward_table),

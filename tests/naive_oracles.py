@@ -213,6 +213,43 @@ def naive_first_conflict(offsets, q, table):
     return None
 
 
+def naive_candidate(offsets, q, table):
+    """The candidate inverse over offsets that hold 0, for a rule with no
+    derivation conflict: the image of every local configuration the rule
+    changes at 0 maps back to that configuration's center, and every other
+    configuration keeps its center."""
+    center = offsets.index(0)
+    configs = list(product(range(q), repeat=len(offsets)))
+    candidate = {local: local[center] for local in configs}
+    for idx, local in enumerate(configs):
+        if table[idx] != local[center]:
+            candidate[local[:center] + (table[idx],) + local[center + 1 :]] = local[center]
+    return tuple(candidate[local] for local in configs)
+
+
+def naive_purely_certificate(offsets, q, delta, gamma):
+    """Whether the purely clause holds, in both directions, on D = {0} and
+    on every D = {0, e} with e in M = {0} union N: by the two-cell theorem,
+    exactly when the pair is purely invertible.  The clause for D reads
+    only S = D + M, so each set enumerates the windows over S alone."""
+    M = sorted({0} | set(offsets))
+    for one, other in ((delta, gamma), (gamma, delta)):
+        for active in [(0,)] + [(0, e) for e in M if e]:
+            cells = sorted({c + m for c in active for m in M})
+            pos = {c: i for i, c in enumerate(cells)}
+            for w in product(range(q), repeat=len(cells)):
+                stepped = list(w)
+                for c in active:
+                    stepped[pos[c]] = one[pattern_index(offsets, q, w, pos, c)]
+                    # the clause binds only where every cell of D changes
+                    if stepped[pos[c]] == w[pos[c]]:
+                        break
+                else:
+                    if any(other[pattern_index(offsets, q, stepped, pos, c)] != w[pos[c]] for c in active):
+                        return False
+    return True
+
+
 def all_tables(q, arity):
     return product(range(q), repeat=q ** arity)
 

@@ -52,11 +52,13 @@ from conftest import assert_like_public_window, sha256_of
 from naive_oracles import (
     all_tables,
     naive_check_fully,
+    naive_candidate,
     naive_check_purely,
     naive_first_conflict,
     naive_least_fully_witness,
     naive_least_path,
     naive_least_purely_witness,
+    naive_purely_certificate,
 )
 from test_nakamura import bar_pair_inputs, bar_table_inputs, planar_inputs, shift_pair
 
@@ -1307,6 +1309,44 @@ class TestDecidePurely:
             rule = eca_from_wolfram(n)
             padded = with_neighborhood(rule, wide)
             assert decide_purely(rule).verdict == decide_purely(padded).verdict
+
+
+def naive_certifies(rule):
+    """Whether the naive two-cell certificate passes for a 1-D rule over
+    offsets that hold 0 and its naively derived candidate; a derivation
+    conflict fails it."""
+    offsets, q = tuple(o[0] for o in rule.neighborhood.offsets), rule.q
+    if naive_first_conflict(offsets, q, rule.table) is not None:
+        return False
+    return naive_purely_certificate(offsets, q, rule.table, naive_candidate(offsets, q, rule.table))
+
+
+def certificate_rules():
+    """300 seeded 1-D rules with q in {2, 3} on offsets in [-2, 2] that
+    hold 0: the identity on the center with one to three entries redrawn."""
+    rng = random.Random(31)
+    rules = []
+    for _ in range(300):
+        q = rng.choice((2, 3))
+        offsets = sorted({0, *rng.sample((-2, -1, 1, 2), rng.randint(0, 4))})
+        weight = q ** (len(offsets) - 1 - offsets.index(0))
+        table = [i // weight % q for i in range(q ** len(offsets))]
+        for _ in range(rng.randint(1, 3)):
+            table[rng.randrange(len(table))] = rng.randrange(q)
+        rules.append(rule_of(table, *offsets, q=q))
+    return rules
+
+
+@pytest.mark.parametrize("corpus", ["eca", "seeded"])
+def test_naive_certificate_agrees_with_decide_purely(corpus):
+    """The two-cell certificate, checked by plain loops that share no code
+    with the package, passes exactly for the rules that decide_purely
+    finds invertible."""
+    rules = [eca_from_wolfram(n) for n in range(256)] if corpus == "eca" else certificate_rules()
+    verdicts = [decide_purely(rule, window_cap=1 << 62).verdict for rule in rules]
+    assert [naive_certifies(rule) for rule in rules] == [v is Verdict.INVERTIBLE for v in verdicts]
+    # both answers occur
+    assert len(set(verdicts)) == 2
 
 
 class TestDecideFully:

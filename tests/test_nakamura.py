@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from acainvert import (
 from acainvert.errors import AlphabetMismatchError, NeighborhoodMismatchError, ResourceCapExceededError
 from acainvert.invertibility import Verdict, check_inverse_purely
 from acainvert.rulefmt import dump_rule
+from acainvert.simulate import simulate
 from acainvert.nakamura import (
     BarState,
     bar_alphabet,
@@ -31,7 +33,16 @@ from acainvert.nakamura import (
 )
 
 from conftest import sha256_of
-from naive_oracles import UndefinedView, curr_local, is_ahead, is_behind, naive_bar_tables, old_local
+from naive_oracles import (
+    UndefinedView,
+    curr_local,
+    is_ahead,
+    is_behind,
+    naive_bar_tables,
+    naive_purely_certificate,
+    old_local,
+    step_ring,
+)
 
 ECA = eca_from_wolfram(110).neighborhood
 
@@ -343,6 +354,92 @@ def test_tables_are_derived_inverses_of_each_other(index):
         candidate = derive_candidate_inverse(minimize_neighborhood(one))
         assert isinstance(candidate, LocalRule)
         assert with_neighborhood(candidate, one.neighborhood) == other
+
+
+def reversed_time(q, code):
+    """sigma on one bar code: curr and old swapped, the stamp negated."""
+    return code // 3 % q * 3 * q + code // (3 * q) * 3 + -code % 3
+
+
+@pytest.mark.parametrize("index", range(len(bar_pair_inputs()) + 1))
+def test_backward_table_is_the_swapped_forward_table_in_reversed_time(index):
+    """On the naive oracle's tables, entry by entry: the backward table of
+    (C, G) at x is sigma of the forward table of (G, C) at sigma x, sigma
+    applied to every code.  The last pair is the q = 2 shift pair."""
+    C, G = (bar_pair_inputs() + [shift_pair(2)])[index]
+    q, size = C.q, 3 * C.q * C.q
+    offsets, _, backward = naive_bar_tables(q, *_plain(C), *_plain(G))
+    _, swapped, _ = naive_bar_tables(q, *_plain(G), *_plain(C))
+    sigma = [reversed_time(q, code) for code in range(size)]
+    for idx, codes in enumerate(itertools.product(range(size), repeat=len(offsets))):
+        mirrored = 0
+        for code in codes:
+            mirrored = mirrored * size + sigma[code]
+        assert backward[idx] == sigma[swapped[mirrored]], (idx, codes)
+
+
+def ring_advances(C, G, seed):
+    """Run the forward bar rule of (C, G) for 400 purely asynchronous steps
+    at p = 1/2 on a 9-cell ring, from ``embed_ring`` at stamp 0 of seeded
+    base states.  Returns the base states, the curr each cell writes at
+    each of its advances, in order, the bar pair and the last bar codes."""
+    q = C.q
+    pair = build_bar_pair(C, G)
+    rng = random.Random(seed)
+    states = tuple(rng.randrange(q) for _ in range(9))
+    codes = tuple(encode_bar_state(q, s) for s in embed_ring(states, G, 0))
+    written = [[] for _ in codes]
+    for step in simulate(pair.forward, codes, "purely", 400, seed, p=0.5).steps:
+        for cell, (was, now) in enumerate(zip(codes, step.states)):
+            # the forward rule changes a code only by advancing it
+            if was != now:
+                written[cell].append(decode_bar_state(q, now).curr)
+        codes = step.states
+    return states, written, pair, codes
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("index", range(len(bar_pair_inputs())))
+def test_bar_ring_of_an_inverse_pair_follows_the_synchronous_orbit(index, seed):
+    """For a synchronous inverse pair, the t-th advance of each cell
+    writes the cell's state at step t of C's synchronous orbit, and every
+    cell keeps advancing: at least 100 times in 400 steps."""
+    C, G = bar_pair_inputs()[index]
+    states, written, _, _ = ring_advances(C, G, seed)
+    offsets, table = _plain(C)
+    orbit = [states]
+    while len(orbit) <= max(map(len, written)):
+        orbit.append(step_ring(offsets, C.q, table, orbit[-1], range(len(states))))
+    for cell, currs in enumerate(written):
+        assert len(currs) >= 100
+        assert currs == [row[cell] for row in orbit[1 : len(currs) + 1]]
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("name", ["padded", "110"])
+def test_bar_ring_of_a_false_pair_freezes(name, seed):
+    """For pairs that are not synchronous inverses, the padded pair of
+    ``bar_table_inputs()`` and (110, 110), the ring stops: no cell advances
+    more than three times, and the last codes are a fixed point of the
+    forward bar rule.  Over seeds 0-299, (110, 110) reads three advances
+    at 12 seeds (8 among them) and two or fewer at the rest; the padded
+    pair never more than two."""
+    C, G = bar_table_inputs()[-1] if name == "padded" else (eca_from_wolfram(110),) * 2
+    _, written, pair, last = ring_advances(C, G, seed)
+    assert max(map(len, written)) <= 3
+    offsets, table = _plain(pair.forward)
+    assert step_ring(offsets, pair.forward.q, table, last, range(len(last))) == last
+
+
+@pytest.mark.parametrize("name", ["shift-q2", "110", "30"])
+def test_two_cell_certificate_holds_on_bar_pairs(name):
+    """The naive two-cell certificate passes on the bar pairs of the q = 2
+    shift pair and of two pairs that are not synchronous inverses: data
+    for the conjecture that every bar pair is purely invertible."""
+    C, G = shift_pair(2) if name == "shift-q2" else (eca_from_wolfram(int(name)),) * 2
+    bar = build_bar_pair(C, G)
+    offsets, forward = _plain(bar.forward)
+    assert naive_purely_certificate(offsets, bar.forward.q, forward, bar.backward.table)
 
 
 class TestBarFileGoldenDigests:
