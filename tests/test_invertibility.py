@@ -51,8 +51,8 @@ from acainvert.nakamura import build_bar_pair
 from conftest import assert_like_public_window, sha256_of
 from naive_oracles import (
     all_tables,
-    naive_check_fully,
     naive_candidate,
+    naive_check_fully,
     naive_check_purely,
     naive_first_conflict,
     naive_least_fully_witness,

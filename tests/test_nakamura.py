@@ -422,7 +422,7 @@ def test_bar_ring_of_a_false_pair_freezes(name, seed):
     ``bar_table_inputs()`` and (110, 110), the ring stops: no cell advances
     more than three times, and the last codes are a fixed point of the
     forward bar rule.  Over seeds 0-299, (110, 110) reads three advances
-    at 12 seeds (8 among them) and two or fewer at the rest; the padded
+    at 12 seeds (seed 8 among them) and two or fewer at the rest; the padded
     pair never more than two."""
     C, G = bar_table_inputs()[-1] if name == "padded" else (eca_from_wolfram(110),) * 2
     _, written, pair, last = ring_advances(C, G, seed)
