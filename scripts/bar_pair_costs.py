@@ -45,7 +45,7 @@ def run_phase(q: int, phase: str) -> dict:
         if report.verdict is not Verdict.INVERTIBLE:
             raise SystemExit(f"bar pair verdict {report.verdict.value}")
     # ru_maxrss is in KiB on Linux
-    return {"phase": phase, "seconds": round(seconds, 3),
+    return {"phase": phase, "seconds": round(seconds, 6),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -58,13 +58,32 @@ def add_cells(a: Cell, b: Cell) -> Cell:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def as_cell(value: int | Sequence[int], dimension: int) -> Cell:
-    """Coerce ``value`` to a d-tuple; bare integers are accepted when d = 1."""
-    if isinstance(value, (int, np.integer)):
+def _integer(value: Any, what: str) -> int:
+    """``value`` as a Python int.  A bool, or anything ``operator.index``
+    refuses (a float, a str), raises :class:`OutOfRangeError`."""
+    if type(value) is int:
+        return value
+    # bool is a subclass of int, but True/False are not states, offsets or
+    # counts; numpy 1.x lets operator.index read a numpy bool, with a warning
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise OutOfRangeError(f"{what} {value!r} is not an integer")
+
+
+def as_cell(value: int | Sequence[int], dimension: int, what: str = "cell coordinate") -> Cell:
+    """``value`` as a d-tuple of Python ints; a bare integer is a cell when
+    d = 1.  A coordinate that is not an integer raises OutOfRangeError."""
+    try:
+        coordinates = iter(value)
+    except TypeError:
+        coordinate = _integer(value, what)
         if dimension != 1:
-            raise OutOfDomainError(f"bare integer cell needs dimension 1, got {dimension}")
-        return (int(value),)
-    cell = tuple(int(v) for v in value)
+            raise OutOfDomainError(f"bare integer cell needs dimension 1, got {dimension}") from None
+        return (coordinate,)
+    cell = tuple(_integer(v, what) for v in coordinates)
     if len(cell) != dimension:
         raise OutOfDomainError(f"cell {cell} has dimension {len(cell)}, expected {dimension}")
     return cell
@@ -77,6 +96,7 @@ class Alphabet:
     size: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "size", _integer(self.size, "alphabet size"))
         # a table entry is read through uint64 (see LocalRule), so q <= 2**63
         if not 1 <= self.size <= 1 << 63:
             raise ValueError(f"alphabet must have 1 to 2**63 states, got {self.size}")
@@ -93,9 +113,10 @@ class Neighborhood:
     offsets: tuple[Cell, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dimension", _integer(self.dimension, "dimension"))
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        canon = tuple(sorted(as_cell(n, self.dimension) for n in self.offsets))
+        canon = tuple(sorted(as_cell(n, self.dimension, "offset coordinate") for n in self.offsets))
         if len(set(canon)) != len(canon):
             raise ValueError("offsets must be distinct")
         object.__setattr__(self, "offsets", canon)
@@ -139,14 +160,16 @@ ECA_NEIGHBORHOOD = Neighborhood(1, ((-1,), (0,), (1,)))
 class LocalRule:
     """A local transition table over a fixed alphabet and neighborhood.
 
-    The ``table`` argument may be any integer sequence or array with q^k
-    entries, taken in C order; floats, strings and bools are refused.  It
-    is stored once, as the bytes of its entries in the smallest unsigned
-    dtype that holds q - 1.  ``array`` is a flat read-only view of them,
-    and its view ``array.reshape((q,) * k)`` has one axis per offset (see
-    the module docstring).  The ``table`` attribute reads the same entries
-    as a tuple of Python ints.  Rules are equal when their alphabets,
-    neighborhoods and table bytes are.
+    The ``table`` argument may be a flat sequence of q^k integers, or an
+    integer array of q^k entries taken in C order; floats, strings, bools
+    and nested lists are refused.  A sequence is scanned entry by entry for
+    bools, which numpy would read as ints, so large tables are best passed
+    as arrays.  The table is stored once, as the bytes of its entries in
+    the smallest unsigned dtype that holds q - 1.  ``array`` is a flat
+    read-only view of them, and its view ``array.reshape((q,) * k)`` has
+    one axis per offset (see the module docstring).  The ``table``
+    attribute reads the same entries as a tuple of Python ints.  Rules are
+    equal when their alphabets, neighborhoods and table bytes are.
     """
 
     alphabet: Alphabet
@@ -157,12 +180,14 @@ class LocalRule:
     def __init__(self, alphabet: Alphabet, neighborhood: Neighborhood, table: Sequence[int] | np.ndarray) -> None:
         q = alphabet.size
         values = np.asarray(table)
-        if values.dtype.kind not in "iu":
-            # floats, strings, bools, or integers beyond int64: name the first bad entry
-            entries = np.asarray(table, dtype=object).ravel().tolist()
+        # a sequence, not an array or a scalar (minimizing to no offsets gives a numpy scalar)
+        listed = values.ndim > 0 and not isinstance(table, np.ndarray)
+        # numpy reads nested lists as axes, and bools mixed into ints as ints
+        by_entry = listed and (values.ndim != 1 or not {bool, np.bool_}.isdisjoint(map(type, table)))
+        if by_entry or values.dtype.kind not in "iu":
+            # floats, strings, bools, lists, or integers beyond int64: name the first bad entry
+            entries = [_integer(v, "table value") for v in (table if listed else values.ravel().tolist())]
             for v in entries:
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                    raise ValueError(f"table value {v!r} is not an integer")
                 if not 0 <= v < q:
                     raise ValueError(f"table value {v} outside alphabet of size {q}")
             values = np.array(entries, dtype=np.int64)
@@ -232,12 +257,15 @@ class WindowConfig:
     def __post_init__(self) -> None:
         if len(self.cells) != len(self.states):
             raise ValueError("cells and states must have equal length")
-        pairs = sorted(zip((tuple(c) for c in self.cells), self.states))
+        pairs = sorted(
+            (tuple(_integer(x, "cell coordinate") for x in c), _integer(s, "state"))
+            for c, s in zip(self.cells, self.states)
+        )
         cells = tuple(p[0] for p in pairs)
         if len(set(cells)) != len(cells):
             raise ValueError("cells must be distinct")
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "states", tuple(int(p[1]) for p in pairs))
+        object.__setattr__(self, "states", tuple(p[1] for p in pairs))
 
     @classmethod
     def _canonical(cls, cells: tuple[Cell, ...], states: tuple[int, ...]) -> "WindowConfig":
@@ -252,6 +280,7 @@ class WindowConfig:
     @classmethod
     def line(cls, states: Sequence[int], start: int = 0) -> "WindowConfig":
         """One-dimensional window on the integer interval starting at ``start``."""
+        start = _integer(start, "window start")
         cells = tuple((start + i,) for i in range(len(states)))
         return cls(cells, tuple(states))
 
@@ -283,7 +312,7 @@ class WindowConfig:
             pos = self._position(tuple(cell))
             if pos is None:
                 raise OutOfDomainError(f"cell {cell} not in window domain")
-            states[pos] = int(value)
+            states[pos] = _integer(value, "state")
         return WindowConfig._canonical(self.cells, tuple(states))
 
 
@@ -335,9 +364,11 @@ def eca_from_wolfram(number: int) -> LocalRule:
     standard code itself: 110 here is standard 118, 204 is standard 51
     and 51 is standard 204.
     """
+    number = _integer(number, "Wolfram number")
     if not 0 <= number <= 255:
         raise OutOfRangeError(f"Wolfram number {number} outside 0..255")
-    table = tuple((number >> (7 - i)) & 1 for i in range(8))
+    # entry i is bit 7 - i; an array, so LocalRule does not scan it for bools
+    table = np.unpackbits(np.array([number], dtype=np.uint8))
     return LocalRule(Alphabet(2), ECA_NEIGHBORHOOD, table)
 
 

@@ -21,8 +21,10 @@ class DomainMismatchError(CaError):
     """Two window configurations do not share the same domain."""
 
 
-class OutOfRangeError(CaError):
-    """A numeric argument lies outside its documented range."""
+class OutOfRangeError(CaError, ValueError):
+    """A numeric argument lies outside its documented range, or is not an
+    integer where one is required (a bool, float or str).  It is also a
+    ValueError."""
 
 
 class NotElementaryError(CaError):

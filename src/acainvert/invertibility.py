@@ -724,7 +724,8 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
         source = rule.decode_index(0)
         first, second = [v for v in range(3) if v != rule.table[0]][:2]
         return DerivationConflict(source, source, first, source, second)
-    return LocalRule(rule.alphabet, rule.neighborhood, table)
+    # an array, so LocalRule does not scan the q^k entries for bools
+    return LocalRule(rule.alphabet, rule.neighborhood, np.array(table))
 
 
 def _decide(rule: LocalRule, checker: Callable, *, window_cap: int) -> DecisionReport:

@@ -48,41 +48,24 @@ def rule_to_dict(rule: LocalRule) -> dict[str, Any]:
     return {**_rule_fields(rule), "table": rule.array.tolist()}
 
 
-def _integer(value: Any, what: str) -> int:
-    # bool is a subclass of int, but true/false are not rule numbers
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise RuleFormatError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _integer_list(value: Any, what: str) -> list[int]:
-    if not isinstance(value, list):
-        raise RuleFormatError(f"{what} must be a list, got {value!r}")
-    return [_integer(v, f"{what} entry") for v in value]
-
-
 def rule_from_dict(doc: Any) -> LocalRule:
+    """The rule of a rule document.  Only the document's shape is checked
+    here; its numbers are checked by ``core`` as the rule is built.  Every
+    error, of shape or of value, raises :class:`RuleFormatError`."""
     if not isinstance(doc, dict):
         raise RuleFormatError("rule document must be a JSON object")
-    if "wolfram" in doc:
-        return eca_from_wolfram(_integer(doc["wolfram"], "wolfram number"))
     try:
-        dimension = _integer(doc["dimension"], "dimension")
-        alphabet = _integer(doc["alphabet"], "alphabet")
-        raw_offsets = doc["neighborhood"]
-        table = _integer_list(doc["table"], "table")
+        if "wolfram" in doc:
+            return eca_from_wolfram(doc["wolfram"])
+        for key in ("neighborhood", "table"):
+            if not isinstance(doc[key], list):
+                raise RuleFormatError(f"{key} must be a list, got {doc[key]!r}")
+        neighborhood = Neighborhood(doc["dimension"], tuple(doc["neighborhood"]))
+        if neighborhood.dimension > _MAX_DIMENSION:
+            raise RuleFormatError(f"dimension {neighborhood.dimension} is above {_MAX_DIMENSION}")
+        return LocalRule(Alphabet(doc["alphabet"]), neighborhood, doc["table"])
     except KeyError as exc:
         raise RuleFormatError(f"rule document missing field: {exc}") from exc
-    if dimension > _MAX_DIMENSION:
-        raise RuleFormatError(f"dimension {dimension} is above {_MAX_DIMENSION}")
-    if not isinstance(raw_offsets, list):
-        raise RuleFormatError(f"neighborhood must be a list, got {raw_offsets!r}")
-    offsets = [
-        tuple(_integer_list(n, "offset")) if isinstance(n, list) else (_integer(n, "offset"),)
-        for n in raw_offsets
-    ]
-    try:
-        return LocalRule(Alphabet(alphabet), Neighborhood(dimension, tuple(offsets)), tuple(table))
     except (ValueError, OutOfDomainError) as exc:
         raise RuleFormatError(str(exc)) from exc
 

@@ -7,12 +7,11 @@ work on finite windows and never consult this module.
 from __future__ import annotations
 
 import numbers
-import operator
 import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .core import LocalRule
+from .core import LocalRule, _integer
 from .errors import LatticeTooSmallError, NotOneDimensionalError, OutOfRangeError, ResourceCapExceededError
 
 __all__ = ["TraceStep", "Trace", "simulate"]
@@ -50,16 +49,6 @@ class Trace:
             "initial": list(self.initial),
             "steps": [s.to_dict() for s in self.steps],
         }
-
-
-def _integer(value: Any, what: str) -> int:
-    # bool is a subclass of int, but true/false are not states or counts
-    if isinstance(value, bool):
-        raise OutOfRangeError(f"{what} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise OutOfRangeError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_trace_size(size: int, steps: int) -> None:

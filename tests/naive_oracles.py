@@ -194,13 +194,25 @@ def naive_least_purely_witness(offsets, q, delta, gamma):
     return None
 
 
+def origin_of(offsets):
+    """The origin in the form of the offsets: 0 for integer offsets (1-D),
+    a d-tuple of zeros for d-tuple offsets."""
+    return next((tuple(0 for _ in o) for o in offsets if isinstance(o, tuple)), 0)
+
+
+def add_offsets(a, b):
+    """The sum of two integer offsets, or of two d-tuples coordinatewise."""
+    return tuple(x + y for x, y in zip(a, b)) if isinstance(a, tuple) else a + b
+
+
 def naive_first_conflict(offsets, q, table):
     """The first conflict in deriving an inverse candidate over offsets
-    that hold 0: the local configurations are walked in index order, and
-    the walk stops at the first one the rule changes at 0 onto an image
-    that an earlier change already produced.  Returns (image, the earlier
-    source, its center, this source, its center), or None."""
-    center = offsets.index(0)
+    that hold the origin: the local configurations are walked in index
+    order, and the walk stops at the first one the rule changes at the
+    origin onto an image that an earlier change already produced.  Returns
+    (image, the earlier source, its center, this source, its center), or
+    None.  Offsets are integers (1-D) or d-tuples."""
+    center = offsets.index(origin_of(offsets))
     hit = {}
     for idx, local in enumerate(product(range(q), repeat=len(offsets))):
         out = table[idx]
@@ -214,11 +226,12 @@ def naive_first_conflict(offsets, q, table):
 
 
 def naive_candidate(offsets, q, table):
-    """The candidate inverse over offsets that hold 0, for a rule with no
-    derivation conflict: the image of every local configuration the rule
-    changes at 0 maps back to that configuration's center, and every other
-    configuration keeps its center."""
-    center = offsets.index(0)
+    """The candidate inverse over offsets that hold the origin, for a rule
+    with no derivation conflict: the image of every local configuration
+    the rule changes at the origin maps back to that configuration's
+    center, and every other configuration keeps its center.  Offsets are
+    integers (1-D) or d-tuples."""
+    center = offsets.index(origin_of(offsets))
     configs = list(product(range(q), repeat=len(offsets)))
     candidate = {local: local[center] for local in configs}
     for idx, local in enumerate(configs):
@@ -231,21 +244,32 @@ def naive_purely_certificate(offsets, q, delta, gamma):
     """Whether the purely clause holds, in both directions, on D = {0} and
     on every D = {0, e} with e in M = {0} union N: by the two-cell theorem,
     exactly when the pair is purely invertible.  The clause for D reads
-    only S = D + M, so each set enumerates the windows over S alone."""
-    M = sorted({0} | set(offsets))
+    only S = D + M, so each set enumerates the windows over S alone.
+    Offsets are integers (1-D) or d-tuples, and 0 is the origin."""
+    zero = origin_of(offsets)
+    M = sorted({zero} | set(offsets))
     for one, other in ((delta, gamma), (gamma, delta)):
-        for active in [(0,)] + [(0, e) for e in M if e]:
-            cells = sorted({c + m for c in active for m in M})
+        for active in [(zero,)] + [(zero, e) for e in M if e != zero]:
+            cells = sorted({add_offsets(c, m) for c in active for m in M})
             pos = {c: i for i, c in enumerate(cells)}
+            # reads[c]: the window positions cell c reads, in offset order
+            reads = {c: [pos[add_offsets(c, o)] for o in offsets] for c in active}
+
+            def index(w, c):
+                idx = 0
+                for i in reads[c]:
+                    idx = idx * q + w[i]
+                return idx
+
             for w in product(range(q), repeat=len(cells)):
                 stepped = list(w)
                 for c in active:
-                    stepped[pos[c]] = one[pattern_index(offsets, q, w, pos, c)]
+                    stepped[pos[c]] = one[index(w, c)]
                     # the clause binds only where every cell of D changes
                     if stepped[pos[c]] == w[pos[c]]:
                         break
                 else:
-                    if any(other[pattern_index(offsets, q, stepped, pos, c)] != w[pos[c]] for c in active):
+                    if any(other[index(stepped, c)] != w[pos[c]] for c in active):
                         return False
     return True
 

@@ -31,6 +31,7 @@ from acainvert import (
     wolfram_number,
 )
 from acainvert.errors import (
+    CaError,
     DomainMismatchError,
     NotElementaryError,
     OutOfDomainError,
@@ -509,3 +510,61 @@ def test_package_exports_match_module_all():
     assert sorted(exported - set(owner)) == []
     for name, module in owner.items():
         assert getattr(acainvert, name) is getattr(module, name), (name, module.__name__)
+
+
+_ECA_110 = eca_from_wolfram(110)
+_WINDOW = WindowConfig.line((0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Alphabet(2.0),
+        lambda: Alphabet(True),
+        lambda: Neighborhood(2.0, ((0, 0),)),
+        lambda: Neighborhood.line(0.5, 1),
+        lambda: Neighborhood(1, ("7",)),
+        lambda: Neighborhood(1, ((True,),)),
+        lambda: WindowConfig(((0,), (1,)), (0, 0.7)),
+        lambda: WindowConfig(((0.5,),), (0,)),
+        lambda: WindowConfig.line((0, 1), start=0.5),
+        lambda: eca_from_wolfram(True),
+        lambda: eca_from_wolfram(3.0),
+        lambda: step(_ECA_110, _WINDOW, [0.9]),
+        lambda: _WINDOW[0.5],
+        lambda: _WINDOW.with_updates({(1,): 0.7}),
+        lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [0, True]),
+        lambda: LocalRule(Alphabet(2), Neighborhood.line(0), (np.True_, 0)),
+        lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [[0, 1]]),
+    ],
+    ids=[
+        "alphabet-float", "alphabet-bool", "dimension-float", "line-float-offset", "str-offset",
+        "bool-coordinate", "float-state", "float-cell", "line-float-start", "wolfram-bool", "wolfram-float",
+        "float-active-cell", "float-cell-lookup", "float-update", "bool-mixed-into-table",
+        "numpy-bool-mixed-into-table", "nested-table",
+    ],
+)
+def test_non_integers_entering_core_are_refused(build):
+    """Every value that enters core must be an integer: a bool, float, str
+    or list raises OutOfRangeError, which is both a CaError and a
+    ValueError, instead of being truncated, read as 0/1 or read as an
+    axis."""
+    with pytest.raises(OutOfRangeError, match=r"^.+ is not an integer$") as caught:
+        build()
+    assert isinstance(caught.value, CaError) and isinstance(caught.value, ValueError)
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    alphabet = Alphabet(np.int64(3))
+    assert type(alphabet.size) is int and alphabet == Alphabet(3)
+    neighborhood = Neighborhood(np.int32(2), ((np.int64(0), np.uint8(1)), (np.int16(-1), 0)))
+    assert neighborhood == Neighborhood(2, ((0, 1), (-1, 0)))
+    assert {type(x) for cell in neighborhood.offsets for x in cell} | {type(neighborhood.dimension)} == {int}
+    window = WindowConfig(((np.int64(1),), (np.int8(0),)), (np.uint8(1), np.int64(0)))
+    assert window == WindowConfig.line((0, 1), start=np.int64(0))
+    assert {type(x) for cell in window.cells for x in cell} | set(map(type, window.states)) == {int}
+    assert window[np.int64(1)] == 1
+    assert window.with_updates({(0,): np.int64(1)}).states == (1, 1)
+    assert set(map(type, window.with_updates({(0,): np.int64(1)}).states)) == {int}
+    assert eca_from_wolfram(np.uint8(110)) == _ECA_110
+    assert step(_ECA_110, _WINDOW, [np.int64(1)]) == step(_ECA_110, _WINDOW, [1])

@@ -1349,6 +1349,36 @@ def test_naive_certificate_agrees_with_decide_purely(corpus):
     assert len(set(verdicts)) == 2
 
 
+def von_neumann_rules():
+    """30 seeded binary rules on the von Neumann neighborhood: the identity
+    on the center with each entry flipped with probability p, p cycling
+    through 0.002, 0.01, 0.03, 0.05, 0.1 and 0.2."""
+    rng = random.Random(33)
+    neighborhood = Neighborhood(2, ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0)))
+    weight = 2 ** (len(neighborhood) - 1 - neighborhood.offsets.index((0, 0)))
+    ps = (0.002, 0.01, 0.03, 0.05, 0.1, 0.2)
+    return [
+        LocalRule(Alphabet(2), neighborhood, [i // weight % 2 ^ (rng.random() < ps[r % len(ps)]) for i in range(32)])
+        for r in range(30)
+    ]
+
+
+def test_naive_certificate_agrees_with_decide_purely_in_2d():
+    """The two-cell certificate on d-tuple offsets passes exactly for the
+    2-D rules that decide_purely finds invertible (binary rules have no
+    derivation conflict, so the naive candidate is always defined)."""
+    rules = von_neumann_rules()
+    verdicts = [decide_purely(rule, window_cap=1 << 62).verdict for rule in rules]
+    certified = []
+    for rule in rules:
+        offsets = rule.neighborhood.offsets
+        assert naive_first_conflict(offsets, 2, rule.table) is None
+        certified.append(naive_purely_certificate(offsets, 2, rule.table, naive_candidate(offsets, 2, rule.table)))
+    assert certified == [v is Verdict.INVERTIBLE for v in verdicts]
+    # both answers occur, each for at least a third of the rules
+    assert min(certified.count(True), certified.count(False)) >= 10
+
+
 class TestDecideFully:
     @pytest.mark.parametrize("n,expected", [(33, True), (0, False), (150, True), (204, True)])
     def test_paper_examples(self, n, expected):

@@ -115,6 +115,25 @@ def test_malformed_rules_rejected(doc):
         rule_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"wolfram": 300}, "Wolfram number 300 outside 0..255"),
+        ({"wolfram": 3.0}, "Wolfram number 3.0 is not an integer"),
+        ({"alphabet": 2.0}, "alphabet size 2.0 is not an integer"),
+        ({"neighborhood": [[0, "1"]]}, "offset coordinate '1' is not an integer"),
+        ({"table": [[0, 1]]}, r"table value \[0, 1\] is not an integer"),
+        ({"table": [0, True]}, "table value True is not an integer"),
+    ],
+)
+def test_values_are_checked_by_core_and_refused_as_format_errors(fields, message):
+    """A rule document's numbers are checked where the rule is built; each
+    bad value, a range error included, is a RuleFormatError naming it."""
+    doc = {"dimension": 1, "alphabet": 2, "neighborhood": [0], "table": [0, 1], **fields}
+    with pytest.raises(RuleFormatError, match=f"^{message}$"):
+        rule_from_dict(doc)
+
+
 def test_dimension_above_the_bound_is_refused():
     """A rule document may have up to 2^20 dimensions: the origin alone is
     a tuple of that many ints, so 10^9 would need gigabytes."""
