@@ -18,7 +18,8 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .core import eca_from_wolfram, wolfram_number
+from .core import SCHEMES, eca_from_wolfram, wolfram_number
+from .errors import OutOfRangeError
 from .invertibility import (
     DEFAULT_WINDOW_CAP,
     DecisionReport,
@@ -45,8 +46,6 @@ FULLY_INVERTIBLE_ECA = frozenset(
         150, 153, 155, 156, 195, 198, 201, 204, 209, 211,
     )
 )
-
-SCHEMES = ("purely", "fully")
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class AtlasReport:
 def classify_all_eca(scheme: str, *, cap: int = DEFAULT_WINDOW_CAP) -> AtlasReport:
     """Decide every Wolfram rule 0..255 under the given scheme, in rule order."""
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+        raise OutOfRangeError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     decider = decide_purely if scheme == "purely" else decide_fully_1d
     entries = tuple(decider(eca_from_wolfram(n), window_cap=cap) for n in range(256))
     return AtlasReport(scheme=scheme, entries=entries)

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .atlas import classify_all_eca, diff_against_reference
-from .core import LocalRule, eca_from_wolfram
+from .core import SCHEMES, LocalRule, eca_from_wolfram
 from .errors import CaError, ResourceCapExceededError
 from .invertibility import (
     DEFAULT_WINDOW_CAP,
@@ -188,12 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide invertibility of one rule")
     _add_rule_source(p)
-    p.add_argument("--scheme", choices=("purely", "fully"), required=True)
+    p.add_argument("--scheme", choices=SCHEMES, required=True)
     _add_cap_flag(p)
     p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("classify-eca", help="classify all 256 elementary rules")
-    p.add_argument("--scheme", choices=("purely", "fully"), required=True)
+    p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--out", metavar="FILE", help="write the JSON report here")
     p.add_argument("--csv", metavar="FILE", help="write the CSV report here")
     p.add_argument("--diff", action="store_true",
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a seeded asynchronous trace on a cyclic lattice")
     _add_rule_source(p)
-    p.add_argument("--scheme", choices=("purely", "fully"), required=True)
+    p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--size", type=int, required=True, metavar="N")
     p.add_argument("--steps", type=int, required=True, metavar="K")
     p.add_argument("--seed", type=int, required=True, metavar="S")

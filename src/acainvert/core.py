@@ -37,6 +37,9 @@ from .errors import (
 
 Cell = tuple[int, ...]
 
+# the update schemes the package decides, simulates and classifies under
+SCHEMES = ("purely", "fully")
+
 __all__ = [
     "Cell",
     "Alphabet",
@@ -99,7 +102,7 @@ class Alphabet:
         object.__setattr__(self, "size", _integer(self.size, "alphabet size"))
         # a table entry is read through uint64 (see LocalRule), so q <= 2**63
         if not 1 <= self.size <= 1 << 63:
-            raise ValueError(f"alphabet must have 1 to 2**63 states, got {self.size}")
+            raise OutOfRangeError(f"alphabet must have 1 to 2**63 states, got {self.size}")
 
     def __contains__(self, state: int) -> bool:
         return 0 <= state < self.size
@@ -115,10 +118,13 @@ class Neighborhood:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dimension", _integer(self.dimension, "dimension"))
         if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
+            raise OutOfRangeError("dimension must be at least 1")
         canon = tuple(sorted(as_cell(n, self.dimension, "offset coordinate") for n in self.offsets))
+        # every cell holds one int per axis; checked after the offsets, so one of the wrong length is named first
+        if self.dimension > 1 << 20:
+            raise OutOfRangeError(f"dimension {self.dimension} is above {1 << 20}")
         if len(set(canon)) != len(canon):
-            raise ValueError("offsets must be distinct")
+            raise OutOfRangeError("offsets must be distinct")
         object.__setattr__(self, "offsets", canon)
 
     @classmethod
@@ -149,7 +155,7 @@ class Neighborhood:
 
     def union(self, other: "Neighborhood") -> "Neighborhood":
         if self.dimension != other.dimension:
-            raise ValueError("cannot union neighborhoods of different dimensions")
+            raise OutOfRangeError("cannot union neighborhoods of different dimensions")
         return Neighborhood(self.dimension, tuple(sorted(set(self.offsets) | set(other.offsets))))
 
 
@@ -189,15 +195,15 @@ class LocalRule:
             entries = [_integer(v, "table value") for v in (table if listed else values.ravel().tolist())]
             for v in entries:
                 if not 0 <= v < q:
-                    raise ValueError(f"table value {v} outside alphabet of size {q}")
+                    raise OutOfRangeError(f"table value {v} outside alphabet of size {q}")
             values = np.array(entries, dtype=np.int64)
         if values.size != q ** len(neighborhood):
-            raise ValueError(f"table has {values.size} entries, expected {q ** len(neighborhood)}")
+            raise OutOfRangeError(f"table has {values.size} entries, expected {q ** len(neighborhood)}")
         # viewed unsigned, a negative entry lies above every q <= 2**63
         unsigned = values if values.dtype.kind == "u" else values.astype(np.int64, copy=False).view(np.uint64)
         if unsigned.max() >= q:
             bad = next(v for v in values.ravel().tolist() if not 0 <= v < q)
-            raise ValueError(f"table value {bad} outside alphabet of size {q}")
+            raise OutOfRangeError(f"table value {bad} outside alphabet of size {q}")
         dtype = np.min_scalar_type(q - 1)
         data = values.astype(dtype, copy=False).tobytes()
         array = np.frombuffer(data, dtype)
@@ -256,14 +262,14 @@ class WindowConfig:
 
     def __post_init__(self) -> None:
         if len(self.cells) != len(self.states):
-            raise ValueError("cells and states must have equal length")
-        pairs = sorted(
-            (tuple(_integer(x, "cell coordinate") for x in c), _integer(s, "state"))
-            for c, s in zip(self.cells, self.states)
-        )
+            raise OutOfRangeError("cells and states must have equal length")
+        # every cell has the first one's dimension: its length, or 1 for a bare integer
+        first = next(iter(self.cells), ())
+        dimension = len(first) if hasattr(first, "__len__") else 1
+        pairs = sorted((as_cell(c, dimension), _integer(s, "state")) for c, s in zip(self.cells, self.states))
         cells = tuple(p[0] for p in pairs)
         if len(set(cells)) != len(cells):
-            raise ValueError("cells must be distinct")
+            raise OutOfRangeError("cells must be distinct")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "states", tuple(p[1] for p in pairs))
 
@@ -287,7 +293,7 @@ class WindowConfig:
     @property
     def dimension(self) -> int:
         if not self.cells:
-            raise ValueError("empty window has no dimension")
+            raise OutOfRangeError("empty window has no dimension")
         return len(self.cells[0])
 
     def _position(self, cell: Cell) -> int | None:
@@ -413,9 +419,9 @@ def with_neighborhood(rule: LocalRule, neighborhood: Neighborhood) -> LocalRule:
     if neighborhood == rule.neighborhood:
         return rule
     if neighborhood.dimension != rule.neighborhood.dimension:
-        raise ValueError("dimensions differ")
+        raise OutOfRangeError("dimensions differ")
     if missing := [n for n in rule.neighborhood if n not in neighborhood]:
-        raise ValueError(f"offset {missing[0]} missing from target neighborhood")
+        raise OutOfRangeError(f"offset {missing[0]} missing from target neighborhood")
     q = rule.q
     shape = [q if n in rule.neighborhood else 1 for n in neighborhood]
     return LocalRule(rule.alphabet, neighborhood, np.broadcast_to(rule.array.reshape(shape), (q,) * len(shape)))

@@ -22,9 +22,11 @@ class DomainMismatchError(CaError):
 
 
 class OutOfRangeError(CaError, ValueError):
-    """A numeric argument lies outside its documented range, or is not an
-    integer where one is required (a bool, float or str).  It is also a
-    ValueError."""
+    """An argument the call does not accept: a number outside its
+    documented range, a value that is not an integer where one is required
+    (a bool, float or str), a table of the wrong length, repeated offsets
+    or cells, or an unknown scheme.  It is also a ValueError, so callers
+    that catch ValueError keep working."""
 
 
 class NotElementaryError(CaError):

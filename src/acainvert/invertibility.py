@@ -76,6 +76,7 @@ from .core import (
     LocalRule,
     Neighborhood,
     WindowConfig,
+    _integer,
     add_cells,
     minimize_neighborhood,
     step,
@@ -342,14 +343,13 @@ class _PurelyLayout:
         return tuple(cell for cell, bit in zip(self.reach, self.bits) if i & bit == bit)
 
 
-def _least_zero_flip(layout: _PurelyLayout, q: int, flips, tab2: np.ndarray, bound: int | None):
+def _least_zero_flip(layout: _PurelyLayout, q: int, flips, tab2: np.ndarray):
     """``_purely_sweep`` for D = {0}, read off ``flips``, the first rule's
     ``_flips`` over M.  The clause reads only S = M, and M ⊂ T keeps T's
     lexicographic order, so the least violating window is the least flip
     source b, of center c and new state out, whose image b + (out - c)·w
     ``tab2`` does not take back to c; b's digits go at M's positions in T,
-    0 elsewhere.  None if there is none, or if its window index is not
-    below ``bound``.
+    0 elsewhere.  None if there is none.
     """
     sources, centers, states = flips
     # int64 before subtracting, so a narrow unsigned table does not wrap
@@ -358,7 +358,7 @@ def _least_zero_flip(layout: _PurelyLayout, q: int, flips, tab2: np.ndarray, bou
         return None
     row = np.zeros(len(layout.cells), dtype=np.min_scalar_type(q))
     row[layout.sums[layout.zero]] = np.unravel_index(missed[0], (q,) * len(layout.reach))
-    return None if bound is not None and int(row @ layout.weights) >= bound else row
+    return row
 
 
 @functools.lru_cache(maxsize=256)
@@ -380,13 +380,14 @@ def _purely_sets(C: LocalRule, G: LocalRule, cap: int):
     """The ``_purely_layout`` of (N, q), which is also the activation
     family in order, and ``sweep(backward, i, bound)``, which finds set
     i's least violating window in one direction (C then G, or G then C
-    when ``backward``): ``_least_zero_flip`` for {0}, ``_purely_sweep``
-    for the other sets.  A direction lists its first rule's ``_flips``
-    once, on first use, and derives the sweep's compressed flip table from
-    them: row p of the (q^(k-1), q) table, k = |M|, holds the flips whose
-    first k - 1 reads have index p, stored as the ``counts[p]`` entries
-    that end at ``ends[p]``, each a last read (``digits``, ascending) with
-    its new center state.
+    when ``backward``): ``_least_zero_flip`` for {0}, which ignores
+    ``bound`` (the check sweeps {0} before it has a best window), and
+    ``_purely_sweep`` for the other sets.  A direction lists its first
+    rule's ``_flips`` once, on first use, and derives the sweep's
+    compressed flip table from them: row p of the (q^(k-1), q) table,
+    k = |M|, holds the flips whose first k - 1 reads have index p, stored
+    as the ``counts[p]`` entries that end at ``ends[p]``, each a last read
+    (``digits``, ascending) with its new center state.
     """
     _require_pair(C, G)
     q = C.q
@@ -402,7 +403,7 @@ def _purely_sets(C: LocalRule, G: LocalRule, cap: int):
             listed[backward] = (sources, centers, states), (counts, counts.cumsum(), digits, states)
         flips, table = listed[backward]
         if i == 0:
-            return _least_zero_flip(layout, q, flips, tables[not backward], bound)
+            return _least_zero_flip(layout, q, flips, tables[not backward])
         if i not in layout.plans:
             active = [x for x, bit in enumerate(layout.bits) if i & bit == bit]
             layout.plans[i] = _set_plan(active, layout.sums, layout.zero, len(layout.cells))
@@ -478,10 +479,11 @@ def check_inverse_purely(
     so the witness is the least (window, D) over the whole family.  A
     forward witness is reported first; the backward direction runs only
     when the forward one holds.  ``stats.windows`` counts the q^|T|
-    logical windows; ``workers`` is accepted and not used.
+    logical windows; ``workers`` is accepted and not used.  ``cap`` must be
+    an integer: a bool, float or str raises :class:`OutOfRangeError`.
     """
     t0 = time.perf_counter()
-    layout, sweep = _purely_sets(C, G, cap)
+    layout, sweep = _purely_sets(C, G, _integer(cap, "window cap"))
     windows = C.q ** len(layout.cells)
 
     def least(backward: bool, sets: Iterable[int], best=None):
@@ -605,7 +607,8 @@ def check_inverse_fully_1d(
     candidate, where the partner must leave the block unfixed.  The cells
     outside the blocks read stay 0, which gives the least window.
     ``stats.windows`` counts q^|T| logical windows per clause pair read.
-    The check refuses when q^|T| exceeds ``cap``, for every neighborhood.
+    The check refuses when q^|T| exceeds ``cap``, for every neighborhood;
+    a ``cap`` that is not an integer raises :class:`OutOfRangeError`.
 
     The verdict quantifies over every configuration of Z, periodic or not.
     ``decide_fully_1d`` answers not-invertible, with clause eq2-delta, for
@@ -619,6 +622,7 @@ def check_inverse_fully_1d(
     if C.neighborhood.dimension != 1:
         raise NotOneDimensionalError("fully asynchronous check requires one dimension")
     _require_pair(C, G)
+    cap = _integer(cap, "window cap")
     q = C.q
     offsets = [n[0] for n in C.neighborhood.offsets]
     left, right = min([0, *offsets]), max([0, *offsets])  # the block N ∪ {0}

@@ -27,7 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import Alphabet, LocalRule, Neighborhood, with_neighborhood
-from .errors import AlphabetMismatchError, NeighborhoodMismatchError, ResourceCapExceededError
+from .errors import AlphabetMismatchError, NeighborhoodMismatchError, OutOfRangeError, ResourceCapExceededError
 from .invertibility import DEFAULT_WINDOW_CAP, DecisionReport, check_inverse_purely
 
 __all__ = [
@@ -55,7 +55,7 @@ class BarState:
 
     def __post_init__(self) -> None:
         if self.time not in (0, 1, 2):
-            raise ValueError("time stamp must be 0, 1 or 2")
+            raise OutOfRangeError("time stamp must be 0, 1 or 2")
 
 
 def bar_alphabet(q: int) -> Alphabet:
@@ -64,13 +64,13 @@ def bar_alphabet(q: int) -> Alphabet:
 
 def encode_bar_state(q: int, state: BarState) -> int:
     if not (0 <= state.curr < q and 0 <= state.old < q):
-        raise ValueError(f"bar state {state} outside alphabet of size {q}")
+        raise OutOfRangeError(f"bar state {state} outside alphabet of size {q}")
     return state.curr * 3 * q + state.old * 3 + state.time
 
 
 def decode_bar_state(q: int, code: int) -> BarState:
     if not 0 <= code < 3 * q * q:
-        raise ValueError(f"bar code {code} outside 0..{3 * q * q - 1}")
+        raise OutOfRangeError(f"bar code {code} outside 0..{3 * q * q - 1}")
     curr, rest = divmod(code, 3 * q)
     old, t = divmod(rest, 3)
     return BarState(curr=curr, old=old, time=t)

@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .core import Alphabet, LocalRule, Neighborhood, WindowConfig, eca_from_wolfram
-from .errors import OutOfDomainError, RuleFormatError
+from .errors import OutOfDomainError, OutOfRangeError, RuleFormatError
 
 __all__ = [
     "rule_to_dict",
@@ -30,10 +30,6 @@ __all__ = [
 
 # table entries dump_rule renders at once; bounds its working memory
 _WRITE_BLOCK = 1 << 14
-
-# rule documents of more dimensions are refused: every cell holds one int per axis,
-# and the window and trace bounds are 2^20 too
-_MAX_DIMENSION = 1 << 20
 
 
 def _rule_fields(rule: LocalRule) -> dict[str, Any]:
@@ -61,8 +57,6 @@ def rule_from_dict(doc: Any) -> LocalRule:
             if not isinstance(doc[key], list):
                 raise RuleFormatError(f"{key} must be a list, got {doc[key]!r}")
         neighborhood = Neighborhood(doc["dimension"], tuple(doc["neighborhood"]))
-        if neighborhood.dimension > _MAX_DIMENSION:
-            raise RuleFormatError(f"dimension {neighborhood.dimension} is above {_MAX_DIMENSION}")
         return LocalRule(Alphabet(doc["alphabet"]), neighborhood, doc["table"])
     except KeyError as exc:
         raise RuleFormatError(f"rule document missing field: {exc}") from exc
@@ -116,7 +110,7 @@ def dump_rule(rule: LocalRule, path: str | Path, extra: dict[str, Any] | None = 
     if extra:
         clash = sorted(doc.keys() & extra.keys())
         if clash:
-            raise ValueError(f"extra fields {clash} would replace rule fields")
+            raise OutOfRangeError(f"extra fields {clash} would replace rule fields")
         doc.update(extra)
     array = rule.array
     top = int(array.max()) + 1

@@ -11,12 +11,10 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .core import LocalRule, _integer
+from .core import SCHEMES, LocalRule, _integer
 from .errors import LatticeTooSmallError, NotOneDimensionalError, OutOfRangeError, ResourceCapExceededError
 
 __all__ = ["TraceStep", "Trace", "simulate"]
-
-SCHEMES = ("purely", "fully")
 
 # a trace holds (lattice size + 1) × (steps + 1) entries: a state per cell and a
 # record per row; the largest allowed, at size 1, peaks near 135 MB through the
@@ -93,7 +91,7 @@ def simulate(
     if rule.neighborhood.dimension != 1:
         raise NotOneDimensionalError("cyclic simulation handles 1-D rules only")
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+        raise OutOfRangeError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     # p is serialized as given, so it is checked, not coerced to float
     if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
         raise OutOfRangeError(f"activation probability must be a number in [0, 1], got {p!r}")

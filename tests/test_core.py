@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import importlib
 import itertools
+import os
 import pickle
 import pkgutil
 import types
@@ -30,6 +31,7 @@ from acainvert import (
     with_neighborhood,
     wolfram_number,
 )
+from acainvert.atlas import classify_all_eca
 from acainvert.errors import (
     CaError,
     DomainMismatchError,
@@ -37,6 +39,8 @@ from acainvert.errors import (
     OutOfDomainError,
     OutOfRangeError,
 )
+from acainvert.nakamura import BarState, decode_bar_state, encode_bar_state
+from acainvert.rulefmt import dump_rule
 
 from conftest import assert_like_public_window, translate
 from naive_oracles import step_ring
@@ -568,3 +572,74 @@ def test_numpy_integers_are_stored_as_python_ints():
     assert set(map(type, window.with_updates({(0,): np.int64(1)}).states)) == {int}
     assert eca_from_wolfram(np.uint8(110)) == _ECA_110
     assert step(_ECA_110, _WINDOW, [np.int64(1)]) == step(_ECA_110, _WINDOW, [1])
+
+
+# (build, exception class, message, whether it was already a ValueError)
+_REFUSALS = {
+    "alphabet-empty": (lambda: Alphabet(0), OutOfRangeError, "alphabet must have 1 to 2**63 states, got 0", True),
+    "alphabet-above": (lambda: Alphabet((1 << 63) + 1), OutOfRangeError,
+                       "alphabet must have 1 to 2**63 states, got 9223372036854775809", True),
+    "dimension-zero": (lambda: Neighborhood(0, ()), OutOfRangeError, "dimension must be at least 1", True),
+    "offsets-repeated": (lambda: Neighborhood.line(0, 0), OutOfRangeError, "offsets must be distinct", True),
+    "union-of-dimensions": (lambda: Neighborhood.line(0).union(Neighborhood(2, ())), OutOfRangeError,
+                            "cannot union neighborhoods of different dimensions", True),
+    "table-entry-above-int64": (lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [0, 1 << 64]), OutOfRangeError,
+                                "table value 18446744073709551616 outside alphabet of size 2", True),
+    "table-length": (lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [0]), OutOfRangeError,
+                     "table has 1 entries, expected 2", True),
+    "table-value": (lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [0, 2]), OutOfRangeError,
+                    "table value 2 outside alphabet of size 2", True),
+    "window-lengths": (lambda: WindowConfig(((0,),), (0, 1)), OutOfRangeError,
+                       "cells and states must have equal length", True),
+    "window-cells-repeated": (lambda: WindowConfig(((0,), (0,)), (0, 1)), OutOfRangeError,
+                              "cells must be distinct", True),
+    "empty-window-dimension": (lambda: WindowConfig((), ()).dimension, OutOfRangeError,
+                               "empty window has no dimension", True),
+    "widen-across-dimensions": (lambda: with_neighborhood(rule_of((0, 1), 0), Neighborhood(2, ((0, 0),))),
+                                OutOfRangeError, "dimensions differ", True),
+    "widen-without-offset": (lambda: with_neighborhood(rule_of((0, 1), 1), Neighborhood.line(0)), OutOfRangeError,
+                             "offset (1,) missing from target neighborhood", True),
+    "bar-stamp": (lambda: BarState(0, 0, 3), OutOfRangeError, "time stamp must be 0, 1 or 2", True),
+    "bar-state": (lambda: encode_bar_state(2, BarState(2, 0, 0)), OutOfRangeError,
+                  "bar state BarState(curr=2, old=0, time=0) outside alphabet of size 2", True),
+    "bar-code": (lambda: decode_bar_state(2, 99), OutOfRangeError, "bar code 99 outside 0..11", True),
+    "atlas-scheme": (lambda: classify_all_eca("sync"), OutOfRangeError,
+                     "unknown scheme 'sync', expected one of ('purely', 'fully')", True),
+    "simulate-scheme": (lambda: simulate(_ECA_110, [0, 1, 0], "sync", 1, 0), OutOfRangeError,
+                        "unknown scheme 'sync', expected one of ('purely', 'fully')", True),
+    "dump-extra-replaces-field": (lambda: dump_rule(_ECA_110, os.devnull, extra={"table": []}), OutOfRangeError,
+                                  "extra fields ['table'] would replace rule fields", True),
+    # refused only now
+    "dimension-above-2**20": (lambda: Neighborhood((1 << 20) + 1, ()), OutOfRangeError,
+                              "dimension 1048577 is above 1048576", False),
+    "window-mixed-dimensions": (lambda: WindowConfig(((0,), (0, 1)), (0, 0)), OutOfDomainError,
+                                "cell (0, 1) has dimension 2, expected 1", False),
+    "window-bare-cell-in-2d": (lambda: WindowConfig(((0, 0), 1), (0, 0)), OutOfDomainError,
+                               "bare integer cell needs dimension 1, got 2", False),
+}
+
+
+@pytest.mark.parametrize("name", _REFUSALS)
+def test_every_refusal_is_a_ca_error(name):
+    """Every argument the package refuses raises a CaError with its
+    message; the refusals that were plain ValueErrors are still
+    ValueErrors, so callers that catch ValueError keep working."""
+    build, error, message, value_error = _REFUSALS[name]
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
+    assert isinstance(caught.value, CaError)
+    assert isinstance(caught.value, ValueError) or not value_error
+
+
+def test_dimension_bound_is_inclusive():
+    assert Neighborhood(1 << 20, ()).dimension == 1 << 20
+
+
+def test_bare_integer_cells_are_one_dimensional():
+    """A bare integer is the 1-D cell (n,), as ``window[n]`` and ``step``
+    read it, whether every cell is bare or only some are."""
+    window = WindowConfig(((1,), (0,), (2,)), (1, 0, 1))
+    assert WindowConfig((1, 0, 2), (1, 0, 1)) == window
+    assert WindowConfig((1, (0,), 2), (1, 0, 1)) == window
+    assert WindowConfig(((1,), 0, np.int64(2)), (1, 0, 1)) == window

@@ -27,10 +27,12 @@ from acainvert import (
     with_neighborhood,
     wolfram_number,
 )
+from acainvert.atlas import FULLY_INVERTIBLE_ECA, PURELY_INVERTIBLE_ECA, classify_all_eca
 from acainvert.errors import (
     AlphabetMismatchError,
     NeighborhoodMismatchError,
     NotOneDimensionalError,
+    OutOfRangeError,
     ResourceCapExceededError,
 )
 from acainvert import invertibility
@@ -46,7 +48,7 @@ from acainvert.invertibility import (
     derive_candidate_inverse,
     two_predecessor_witness,
 )
-from acainvert.nakamura import build_bar_pair
+from acainvert.nakamura import build_bar_pair, verify_theorem1
 
 from conftest import assert_like_public_window, sha256_of
 from naive_oracles import (
@@ -709,19 +711,14 @@ def zero_set_pairs():
 
 
 def assert_zero_set_is_the_brute_force(C, G):
-    """``sweep(backward, 0, bound)`` returns the brute-force row in each
-    direction, and only when its window index is below ``bound``.  Returns
-    the rows."""
+    """``sweep(backward, 0, None)`` returns the brute-force row in each
+    direction.  Returns the rows."""
     layout, sweep = invertibility._purely_sets(C, G, 1 << 62)
     rows = []
     for backward, (A, B) in ((False, (C, G)), (True, (G, C))):
         row = sweep(backward, 0, None)
         expected = least_unreturned_zero_flip(A, B)
         assert (None if row is None else tuple(row.tolist())) == expected, (C, G, backward)
-        if row is not None:
-            index = int(row @ layout.weights)
-            assert sweep(backward, 0, index) is None
-            assert tuple(sweep(backward, 0, index + 1).tolist()) == expected
         rows.append(expected)
     return rows
 
@@ -1377,6 +1374,85 @@ def test_naive_certificate_agrees_with_decide_purely_in_2d():
     assert certified == [v is Verdict.INVERTIBLE for v in verdicts]
     # both answers occur, each for at least a third of the rules
     assert min(certified.count(True), certified.count(False)) >= 10
+
+
+def relation_rules():
+    """600 seeded 1-D rules with q in {2, 3} on offsets in [-2, 2] that
+    hold 0: a random permutation of the center state with one to three
+    entries redrawn."""
+    rng = random.Random(34)
+    rules = []
+    for _ in range(600):
+        q = rng.choice((2, 3))
+        offsets = sorted({0, *rng.sample((-2, -1, 1, 2), rng.randint(0, 4))})
+        weight = q ** (len(offsets) - 1 - offsets.index(0))
+        permutation = rng.sample(range(q), q)
+        table = [permutation[i // weight % q] for i in range(q ** len(offsets))]
+        for _ in range(rng.randint(1, 3)):
+            table[rng.randrange(len(table))] = rng.randrange(q)
+        rules.append(rule_of(table, *offsets, q=q))
+    return rules
+
+
+_BOTH_ECA = PURELY_INVERTIBLE_ECA & FULLY_INVERTIBLE_ECA
+
+
+@pytest.mark.parametrize(
+    "corpus,expected",
+    [("eca", (len(PURELY_INVERTIBLE_ECA) + len(FULLY_INVERTIBLE_ECA), len(_BOTH_ECA))), ("seeded", (434, 170))],
+)
+def test_inverses_round_trip_and_agree_across_schemes(corpus, expected):
+    """Deciding a returned inverse, under the same scheme, gives back the
+    rule up to minimization; and when both schemes find a rule
+    invertible, their inverses are equal.  ``expected`` counts the round
+    trips over both schemes and the rules invertible under both."""
+    rules = [eca_from_wolfram(n) for n in range(256)] if corpus == "eca" else relation_rules()
+    round_trips = agreements = 0
+    for rule in rules:
+        reports = [decide(rule) for decide in (decide_purely, decide_fully_1d)]
+        for report, decide in zip(reports, (decide_purely, decide_fully_1d)):
+            if report.verdict is Verdict.INVERTIBLE:
+                back = decide(report.inverse)
+                assert back.verdict is Verdict.INVERTIBLE, (rule, decide)
+                assert minimize_neighborhood(back.inverse) == minimize_neighborhood(rule), (rule, decide)
+                round_trips += 1
+        if all(report.verdict is Verdict.INVERTIBLE for report in reports):
+            assert reports[0].inverse == reports[1].inverse, rule
+            agreements += 1
+    assert (round_trips, agreements) == expected
+
+
+_BAD_CAPS = {"float": 2.0**30, "float-1e9": 1e9, "str": "9", "bool": True, "numpy-float": np.float64(1 << 24)}
+
+
+@pytest.mark.parametrize("cap", _BAD_CAPS.values(), ids=_BAD_CAPS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda identity, cap: check_inverse_purely(identity, identity, cap=cap),
+        lambda identity, cap: check_inverse_fully_1d(identity, identity, cap=cap),
+        lambda identity, cap: decide_purely(identity, window_cap=cap),
+        lambda identity, cap: decide_fully_1d(identity, window_cap=cap),
+        lambda identity, cap: classify_all_eca("purely", cap=cap),
+        lambda identity, cap: classify_all_eca("fully", cap=cap),
+        lambda identity, cap: verify_theorem1(identity, identity, cap=cap),
+    ],
+    ids=["check-purely", "check-fully", "decide-purely", "decide-fully", "atlas-purely", "atlas-fully",
+         "verify-theorem1"],
+)
+def test_window_caps_must_be_integers(call, cap):
+    """A cap that is not an integer is refused, not truncated, compared as
+    a float or read as 1."""
+    with pytest.raises(OutOfRangeError) as caught:
+        call(eca_from_wolfram(51), cap)
+    assert str(caught.value) == f"window cap {cap!r} is not an integer"
+
+
+def test_numpy_integer_caps_are_read_as_ints():
+    rule = eca_from_wolfram(51)
+    for decide in (decide_purely, decide_fully_1d):
+        assert decide(rule, window_cap=np.int64(1 << 24)).inverse == decide(rule).inverse == rule
+        assert decide(rule, window_cap=np.int64(1)).verdict is Verdict.RESOURCE_CAP_EXCEEDED
 
 
 class TestDecideFully:
