@@ -104,9 +104,6 @@ class Alphabet:
         if not 1 <= self.size <= 1 << 63:
             raise OutOfRangeError(f"alphabet must have 1 to 2**63 states, got {self.size}")
 
-    def __contains__(self, state: int) -> bool:
-        return 0 <= state < self.size
-
 
 @dataclass(frozen=True)
 class Neighborhood:
@@ -145,19 +142,6 @@ class Neighborhood:
     def origin(self) -> Cell:
         return (0,) * self.dimension
 
-    def symmetrized_with_origin(self) -> "Neighborhood":
-        """The smallest superset closed under negation and containing 0."""
-        cells = {self.origin}
-        for n in self.offsets:
-            cells.add(n)
-            cells.add(tuple(-x for x in n))
-        return Neighborhood(self.dimension, tuple(sorted(cells)))
-
-    def union(self, other: "Neighborhood") -> "Neighborhood":
-        if self.dimension != other.dimension:
-            raise OutOfRangeError("cannot union neighborhoods of different dimensions")
-        return Neighborhood(self.dimension, tuple(sorted(set(self.offsets) | set(other.offsets))))
-
 
 ECA_NEIGHBORHOOD = Neighborhood(1, ((-1,), (0,), (1,)))
 
@@ -168,14 +152,15 @@ class LocalRule:
 
     The ``table`` argument may be a flat sequence of q^k integers, or an
     integer array of q^k entries taken in C order; floats, strings, bools
-    and nested lists are refused.  A sequence is scanned entry by entry for
-    bools, which numpy would read as ints, so large tables are best passed
-    as arrays.  The table is stored once, as the bytes of its entries in
-    the smallest unsigned dtype that holds q - 1.  ``array`` is a flat
-    read-only view of them, and its view ``array.reshape((q,) * k)`` has
-    one axis per offset (see the module docstring).  The ``table``
-    attribute reads the same entries as a tuple of Python ints.  Rules are
-    equal when their alphabets, neighborhoods and table bytes are.
+    and nested or ragged lists are refused.  A sequence is scanned entry
+    by entry for bools, which numpy would read as ints, so large tables
+    are best passed as arrays.  The table is stored once, as the bytes of
+    its entries in the smallest unsigned dtype that holds q - 1.
+    ``array`` is a flat read-only view of them, and its view
+    ``array.reshape((q,) * k)`` has one axis per offset (see the module
+    docstring).  The ``table`` attribute reads the same entries as a tuple
+    of Python ints.  Rules are equal when their alphabets, neighborhoods
+    and table bytes are.
     """
 
     alphabet: Alphabet
@@ -185,7 +170,12 @@ class LocalRule:
 
     def __init__(self, alphabet: Alphabet, neighborhood: Neighborhood, table: Sequence[int] | np.ndarray) -> None:
         q = alphabet.size
-        values = np.asarray(table)
+        try:
+            values = np.asarray(table)
+        except ValueError:
+            # a ragged list: a placeholder of its length, so that its entries
+            # are read one by one below, as a nested list's are
+            values = np.empty(len(table), dtype=object)
         # a sequence, not an array or a scalar (minimizing to no offsets gives a numpy scalar)
         listed = values.ndim > 0 and not isinstance(table, np.ndarray)
         # numpy reads nested lists as axes, and bools mixed into ints as ints

@@ -733,6 +733,8 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
 
 
 def _decide(rule: LocalRule, checker: Callable, *, window_cap: int) -> DecisionReport:
+    # read before the early answers below, which never reach the checker
+    window_cap = _integer(window_cap, "window cap")
     t0 = time.perf_counter()
     if rule.q == 1:
         # one-state alphabets admit exactly one rule, which inverts itself

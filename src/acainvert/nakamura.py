@@ -78,12 +78,16 @@ def decode_bar_state(q: int, code: int) -> BarState:
 
 @dataclass(frozen=True)
 class BarRulePair:
-    """Transformed forward/backward rules over the bar-state alphabet."""
+    """Transformed forward/backward rules over the bar-state alphabet.
+
+    ``forward`` and ``backward`` are the two bar rules, both on the shared
+    neighborhood N′ that :func:`build_bar_pair` builds, and
+    ``base_alphabet`` is the alphabet of the rules they were built from.
+    """
 
     forward: LocalRule
     backward: LocalRule
     base_alphabet: Alphabet
-    neighborhood: Neighborhood
 
     def encoding_doc(self) -> dict[str, Any]:
         q = self.base_alphabet.size
@@ -97,9 +101,8 @@ class BarRulePair:
 def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
     """Tabulate the transformed pair over the symmetrized neighborhood.
 
-    The shared neighborhood is the union of both inputs' offsets, closed
-    under negation, with 0 adjoined; added offsets are dummies of the base
-    rules.
+    The shared neighborhood N′ holds both inputs' offsets, their
+    negations and the origin; added offsets are dummies of the base rules.
 
     A bar table has one axis per offset, indexed by the bar code read
     there.  Curr, old and stamp are decoded once per bar code; laid along
@@ -116,7 +119,8 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
         raise AlphabetMismatchError("bar construction needs a shared alphabet")
     if C.neighborhood.dimension != G.neighborhood.dimension:
         raise NeighborhoodMismatchError("bar construction needs a shared dimension")
-    shared = C.neighborhood.union(G.neighborhood).symmetrized_with_origin()
+    reach = {*C.neighborhood, *G.neighborhood, C.neighborhood.origin}
+    shared = Neighborhood(C.neighborhood.dimension, tuple(reach | {tuple(-x for x in n) for n in reach}))
     q = C.q
     center = shared.offsets.index(shared.origin)
     arity = len(shared)
@@ -189,7 +193,6 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
         forward=LocalRule(alphabet, shared, forward_table),
         backward=LocalRule(alphabet, shared, backward_table),
         base_alphabet=C.alphabet,
-        neighborhood=shared,
     )
 
 

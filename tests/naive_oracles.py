@@ -2,7 +2,8 @@
 
 Everything here favors directness over speed: windows are plain tuples,
 rules are plain (offsets, table) pairs, and each decision clause is
-transcribed as an explicit loop.  Nothing is imported from the package
+transcribed as an explicit loop; only the ring oracle, which holds whole
+phase spaces, uses numpy arrays.  Nothing is imported from the package
 under test, so agreement between these oracles and the engine is
 meaningful evidence for both.
 
@@ -14,6 +15,8 @@ significant), matching the package's table layout.
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
 
 
 def pattern_index(offsets, q, window, pos, at):
@@ -293,6 +296,39 @@ def step_ring(offsets, q, table, states, active):
             idx = idx * q + states[(i + o) % n]
         out[i] = table[idx]
     return tuple(out)
+
+
+def ring_relation(offsets, table, n, scheme):
+    """A binary rule's phase space on the ring of n cells, from the
+    definition: a dense 2^n x 2^n bool matrix whose entry [x, y] says
+    x -> y, where bit i of x is cell i's state.
+
+    purely: x -> y when x xor y lies within the cells the rule changes in
+    x.  fully: x -> y when they differ in one such cell, and x -> x when
+    some cell keeps its state.
+    """
+    x = np.arange(1 << n)[:, None]
+    cells = np.arange(n)
+    index = sum(((x >> (cells + o) % n) & 1) << (len(offsets) - 1 - j) for j, o in enumerate(offsets))
+    changed = np.asarray(table)[index] != ((x >> cells) & 1)
+    mask = (changed << cells).sum(axis=1)[:, None]
+    moved = x ^ x.T
+    if scheme == "purely":
+        return (moved & ~mask) == 0
+    one_changed_cell = ((moved & (moved - 1)) == 0) & ((moved & mask) != 0)
+    return one_changed_cell | np.diag(mask[:, 0] != (1 << n) - 1)
+
+
+def ring_inverses(offsets, n, scheme):
+    """Each binary table on ``offsets`` mapped to the list of tables G on
+    them whose ring relation is its relation transposed: C is invertible
+    on the ring of n cells when that list is not empty."""
+    tables = list(all_tables(2, len(offsets)))
+    relations = [ring_relation(offsets, table, n, scheme) for table in tables]
+    by_relation = {}
+    for table, relation in zip(tables, relations):
+        by_relation.setdefault(relation.tobytes(), []).append(table)
+    return {table: by_relation.get(relation.T.tobytes(), []) for table, relation in zip(tables, relations)}
 
 
 # Bar states of the Nakamura construction are plain (curr, old, time)

@@ -187,7 +187,7 @@ def test_criterion_5_invariant_suite(purely_atlas, fully_atlas, capsys):
         # bar rules only hold or advance/retreat the stamp by one
         for n, g in SYNC_INVERSE_PAIRS + ((110, 110),):
             pair = build_bar_pair(eca_from_wolfram(n), eca_from_wolfram(g))
-            center = pair.neighborhood.offsets.index(pair.neighborhood.origin)
+            center = pair.forward.neighborhood.offsets.index(pair.forward.neighborhood.origin)
             for idx, out_code in enumerate(pair.forward.table):
                 me = decode_bar_state(2, pair.forward.decode_index(idx)[center])
                 out = decode_bar_state(2, out_code)

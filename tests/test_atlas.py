@@ -17,8 +17,10 @@ from acainvert.atlas import (
     classify_all_eca,
     diff_against_reference,
 )
-from acainvert.core import wolfram_number
+from acainvert.core import eca_from_wolfram, wolfram_number
 from acainvert.invertibility import Verdict
+
+from naive_oracles import ring_inverses
 
 PURELY_INVERSES = {
     0: 255,
@@ -83,6 +85,35 @@ class TestFullyAtlas:
         purely = set(purely_atlas.summary)
         fully = set(fully_atlas.summary)
         assert purely - fully == {0, 255}
+
+
+# invertible on every ring but not on Z: each witness window has two
+# different periodic tails, which no ring holds; the pairs are 134 <-> 214,
+# 142 <-> 212 and 148 <-> 158
+RING_ONLY_FULLY = {134: 214, 142: 212, 148: 158, 158: 148, 212: 142, 214: 134}
+
+
+@pytest.mark.parametrize("scheme", ["purely", "fully"])
+def test_ring_oracle_from_the_definition(scheme, request):
+    """On the ring of 8 cells, a rule's phase space reversed is another
+    ECA's exactly for the atlas's invertible rules, that ECA is unique and
+    it is the atlas's inverse; under fully, the six rules of
+    RING_ONLY_FULLY are ring-invertible too."""
+    atlas = request.getfixturevalue(f"{scheme}_atlas")
+    found = ring_inverses((-1, 0, 1), 8, scheme)
+    ring = {}
+    for n in range(256):
+        inverses = found[eca_from_wolfram(n).table]
+        assert len(inverses) <= 1, n
+        if inverses:
+            ring[n] = inverses[0]
+    exceptions = RING_ONLY_FULLY if scheme == "fully" else {}
+    assert set(ring) == set(atlas.summary) | set(exceptions)
+    assert not set(exceptions) & set(atlas.summary)
+    for n in atlas.summary:
+        assert ring[n] == atlas.entries[n].inverse.table
+    for n, inverse in exceptions.items():
+        assert ring[n] == eca_from_wolfram(inverse).table
 
 
 class TestSerialization:

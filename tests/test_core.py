@@ -51,10 +51,6 @@ def rule_of(table, *offsets, q=2):
 
 
 class TestAlphabet:
-    def test_states(self):
-        assert 2 in Alphabet(3)
-        assert 3 not in Alphabet(3)
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Alphabet(0)
@@ -78,15 +74,6 @@ class TestNeighborhood:
             Neighborhood(2, (0,))
         with pytest.raises(OutOfDomainError, match="has dimension 2, expected 1"):
             Neighborhood(1, ((0, 1),))
-
-    def test_symmetrized_with_origin(self):
-        assert Neighborhood.line(1).symmetrized_with_origin() == Neighborhood.line(-1, 0, 1)
-        assert Neighborhood.line(-2, 1).symmetrized_with_origin() == Neighborhood.line(-2, -1, 1, 2, 0)
-
-    def test_union(self):
-        assert Neighborhood.line(0, 1).union(Neighborhood.line(-1)) == ECA_NEIGHBORHOOD
-        with pytest.raises(ValueError, match="different dimensions"):
-            Neighborhood.line(0).union(Neighborhood(2, ((0, 0),)))
 
 
 class TestLocalRule:
@@ -456,7 +443,7 @@ def rules_within(draw, span=(-2, 2)):
 @given(rule=rules_within(), extra=st.lists(st.integers(-3, 3), unique=True, max_size=2))
 def test_with_neighborhood_matches_per_entry_loop(rule, extra):
     """Each entry of the widened table reads the rule at its own offsets."""
-    target = rule.neighborhood.union(Neighborhood.line(*extra))
+    target = Neighborhood(1, tuple(set(rule.neighborhood) | {(n,) for n in extra}))
     wide = with_neighborhood(rule, target)
     where = [target.offsets.index(o) for o in rule.neighborhood.offsets]
     for i, local in enumerate(itertools.product(range(rule.q), repeat=len(target))):
@@ -540,12 +527,16 @@ _WINDOW = WindowConfig.line((0, 1, 0))
         lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [0, True]),
         lambda: LocalRule(Alphabet(2), Neighborhood.line(0), (np.True_, 0)),
         lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [[0, 1]]),
+        lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [[0, 1], [1]]),
+        lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [0, [1]]),
+        lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [np.zeros((1, 2), int), np.zeros((1, 3), int)]),
     ],
     ids=[
         "alphabet-float", "alphabet-bool", "dimension-float", "line-float-offset", "str-offset",
         "bool-coordinate", "float-state", "float-cell", "line-float-start", "wolfram-bool", "wolfram-float",
         "float-active-cell", "float-cell-lookup", "float-update", "bool-mixed-into-table",
-        "numpy-bool-mixed-into-table", "nested-table",
+        "numpy-bool-mixed-into-table", "nested-table", "ragged-table", "ragged-entry",
+        "ragged-arrays",
     ],
 )
 def test_non_integers_entering_core_are_refused(build):
@@ -581,8 +572,6 @@ _REFUSALS = {
                        "alphabet must have 1 to 2**63 states, got 9223372036854775809", True),
     "dimension-zero": (lambda: Neighborhood(0, ()), OutOfRangeError, "dimension must be at least 1", True),
     "offsets-repeated": (lambda: Neighborhood.line(0, 0), OutOfRangeError, "offsets must be distinct", True),
-    "union-of-dimensions": (lambda: Neighborhood.line(0).union(Neighborhood(2, ())), OutOfRangeError,
-                            "cannot union neighborhoods of different dimensions", True),
     "table-entry-above-int64": (lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [0, 1 << 64]), OutOfRangeError,
                                 "table value 18446744073709551616 outside alphabet of size 2", True),
     "table-length": (lambda: LocalRule(Alphabet(2), Neighborhood.line(0), [0]), OutOfRangeError,

@@ -756,7 +756,7 @@ def cache_sample():
         rule = LocalRule(Alphabet(q), neighborhood, table)
         if len(neighborhood) < 4 and rng.random() < 0.3:
             free = [n for n in range(-2, 3) if (n,) not in neighborhood]
-            rule = with_neighborhood(rule, neighborhood.union(Neighborhood.line(rng.choice(free))))
+            rule = with_neighborhood(rule, Neighborhood(1, (*neighborhood, (rng.choice(free),))))
         rules.append(rule)
     return rules
 
@@ -1423,6 +1423,9 @@ def test_inverses_round_trip_and_agree_across_schemes(corpus, expected):
 
 
 _BAD_CAPS = {"float": 2.0**30, "float-1e9": 1e9, "str": "9", "bool": True, "numpy-float": np.float64(1 << 24)}
+# the deciders answer these two without a checker: one state, and a derivation conflict
+_ONE_STATE = LocalRule(Alphabet(1), Neighborhood.line(-1, 0), [0])
+_CONFLICT = LocalRule(Alphabet(3), Neighborhood.line(-1, 0), [1, 1, 0, 1, 2, 1, 1, 1, 1])
 
 
 @pytest.mark.parametrize("cap", _BAD_CAPS.values(), ids=_BAD_CAPS)
@@ -1436,9 +1439,14 @@ _BAD_CAPS = {"float": 2.0**30, "float-1e9": 1e9, "str": "9", "bool": True, "nump
         lambda identity, cap: classify_all_eca("purely", cap=cap),
         lambda identity, cap: classify_all_eca("fully", cap=cap),
         lambda identity, cap: verify_theorem1(identity, identity, cap=cap),
+        lambda identity, cap: decide_purely(_ONE_STATE, window_cap=cap),
+        lambda identity, cap: decide_fully_1d(_ONE_STATE, window_cap=cap),
+        lambda identity, cap: decide_purely(_CONFLICT, window_cap=cap),
+        lambda identity, cap: decide_fully_1d(_CONFLICT, window_cap=cap),
     ],
     ids=["check-purely", "check-fully", "decide-purely", "decide-fully", "atlas-purely", "atlas-fully",
-         "verify-theorem1"],
+         "verify-theorem1", "decide-purely-one-state", "decide-fully-one-state", "decide-purely-conflict",
+         "decide-fully-conflict"],
 )
 def test_window_caps_must_be_integers(call, cap):
     """A cap that is not an integer is refused, not truncated, compared as

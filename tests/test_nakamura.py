@@ -152,7 +152,7 @@ class TestBuildBarPair:
         pair = build_bar_pair(eca_from_wolfram(204), eca_from_wolfram(204))
         assert pair.forward.alphabet.size == 12
         assert pair.backward.alphabet.size == 12
-        assert pair.neighborhood == ECA
+        assert pair.forward.neighborhood == pair.backward.neighborhood == ECA
         assert pair.base_alphabet == Alphabet(2)
         assert len(pair.forward.table) == 12 ** 3
 
@@ -163,10 +163,13 @@ class TestBuildBarPair:
         assert "curr" in doc["fields"]
 
     def test_neighborhood_is_symmetrized_union(self):
-        left = LocalRule(Alphabet(2), Neighborhood.line(-1), (0, 1))
-        right = LocalRule(Alphabet(2), Neighborhood.line(2), (0, 1))
-        pair = build_bar_pair(left, right)
-        assert pair.neighborhood == Neighborhood.line(-2, -1, 0, 1, 2)
+        """N′ holds both rules' offsets, their negations and 0; a rule
+        paired with itself gives its own N closed under negation, with 0."""
+        cases = [((-1,), (2,), (-2, -1, 0, 1, 2)), ((1,), (1,), (-1, 0, 1)), ((-2, 1), (-2, 1), (-2, -1, 0, 1, 2))]
+        for left, right, shared in cases:
+            C, G = (LocalRule(Alphabet(2), Neighborhood.line(*n), [0] * 2 ** len(n)) for n in (left, right))
+            pair = build_bar_pair(C, G)
+            assert pair.forward.neighborhood == pair.backward.neighborhood == Neighborhood.line(*shared)
 
     @pytest.mark.parametrize("q", [math.isqrt((1 << 63) // 3) + 1, 1 << 32])
     def test_bar_alphabet_past_2_63_states_is_a_cap_error(self, q):
@@ -192,7 +195,7 @@ class TestBuildBarPair:
         # Forward either keeps the cell or advances the stamp by one while
         # shifting curr into old; backward mirrors this.  No third behavior.
         pair = build_bar_pair(eca_from_wolfram(n), eca_from_wolfram(g))
-        center = pair.neighborhood.offsets.index(pair.neighborhood.origin)
+        center = pair.forward.neighborhood.offsets.index(pair.forward.neighborhood.origin)
         for idx, out_code in enumerate(pair.forward.table):
             me = decode_bar_state(2, pair.forward.decode_index(idx)[center])
             out = decode_bar_state(2, out_code)
@@ -302,7 +305,9 @@ def test_planar_tables_are_derived_inverses_of_each_other(index):
     logical windows; the padded pair's von Neumann window has 12^13)."""
     C, G = planar_inputs()[index]
     pair = build_bar_pair(C, G)
-    assert pair.neighborhood == C.neighborhood.union(G.neighborhood).symmetrized_with_origin()
+    # N′: the offsets (0, ±1) and the origin, and for the padded pair (±1, 0) too
+    shared = [((0, -1), (0, 0), (0, 1)), ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))][index]
+    assert pair.forward.neighborhood == pair.backward.neighborhood == Neighborhood(2, shared)
     for one, other in ((pair.forward, pair.backward), (pair.backward, pair.forward)):
         candidate = derive_candidate_inverse(minimize_neighborhood(one))
         assert isinstance(candidate, LocalRule)
@@ -321,7 +326,7 @@ def test_tables_match_naive_oracle(index):
     C, G = bar_table_inputs()[index]
     pair = build_bar_pair(C, G)
     offsets, forward, backward = naive_bar_tables(C.q, *_plain(C), *_plain(G))
-    assert offsets == tuple(o[0] for o in pair.neighborhood.offsets)
+    assert offsets == tuple(o[0] for o in pair.forward.neighborhood.offsets)
     assert pair.forward.table == forward
     assert pair.backward.table == backward
 

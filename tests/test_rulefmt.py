@@ -124,6 +124,7 @@ def test_malformed_rules_rejected(doc):
         ({"neighborhood": [[0, "1"]]}, "offset coordinate '1' is not an integer"),
         ({"table": [[0, 1]]}, r"table value \[0, 1\] is not an integer"),
         ({"table": [0, True]}, "table value True is not an integer"),
+        ({"table": [[0, 1], [1]]}, r"table value \[0, 1\] is not an integer"),
     ],
 )
 def test_values_are_checked_by_core_and_refused_as_format_errors(fields, message):
