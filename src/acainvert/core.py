@@ -1,13 +1,16 @@
 """Alphabets, neighborhoods, local rules, finite windows, and step operators.
 
 Cells are d-tuples of integers and states are dense integers ``0..q-1``.
-A rule table is stored once, as a flat read-only numpy array in
+A rule table is stored once, as one byte string of its entries in
 mixed-radix order: the local configuration ``(s_1, ..., s_k)`` read along
 the canonically sorted offsets maps to index ``sum_j s_j * q**(k-1-j)``.
-That is the C order of the axis view ``array.reshape((q,) * k)``, whose
-axis j reads offset j, so widening and minimizing a rule add and drop
-axes.  An elementary rule's entry ``i`` is bit ``7 - i`` of its Wolfram
-number, so ``table[i] = (number >> (7 - i)) & 1``.
+Two views of those bytes are built on first read: ``table``, a tuple of
+Python ints, which stepping and simulating read without numpy, and
+``array``, a flat read-only numpy array, which loads numpy.  Its axis
+view ``array.reshape((q,) * k)`` has axis j read offset j, so widening
+and minimizing a rule add and drop axes.  An elementary rule's entry
+``i`` is bit ``7 - i`` of its Wolfram number, so
+``table[i] = (number >> (7 - i)) & 1``.
 
 That "Wolfram number" is this package's own: the 8-bit reversal of
 Wolfram's standard code, which gives entry ``i`` bit ``i``.  Here 110 is
@@ -22,11 +25,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass, field
+import sys
+from array import array
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainMismatchError,
@@ -34,6 +37,9 @@ from .errors import (
     OutOfDomainError,
     OutOfRangeError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Cell = tuple[int, ...]
 
@@ -67,8 +73,10 @@ def _integer(value: Any, what: str) -> int:
     if type(value) is int:
         return value
     # bool is a subclass of int, but True/False are not states, offsets or
-    # counts; numpy 1.x lets operator.index read a numpy bool, with a warning
-    if not isinstance(value, (bool, np.bool_)):
+    # counts; numpy 1.x lets operator.index read a numpy bool, with a warning,
+    # and no numpy bool exists unless numpy is loaded
+    bools = (bool, sys.modules["numpy"].bool_) if "numpy" in sys.modules else bool
+    if not isinstance(value, bools):
         try:
             return operator.index(value)
         except TypeError:
@@ -146,70 +154,112 @@ class Neighborhood:
 ECA_NEIGHBORHOOD = Neighborhood(1, ((-1,), (0,), (1,)))
 
 
+# struct's unsigned formats by byte width; a table entry is stored in the
+# narrowest that holds q - 1
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _width(q: int) -> int:
+    return 1 if q <= 1 << 8 else 2 if q <= 1 << 16 else 4 if q <= 1 << 32 else 8
+
+
+def _entry_bytes(table: Any, q: int, count: int) -> bytes:
+    """The stored bytes of ``count`` table entries given as Python values,
+    checked in pure Python.  A sequence other than a str or bytes holds
+    the entries; anything else is one entry, as numpy reads a scalar."""
+    if not isinstance(table, (list, tuple)):
+        table = list(table) if isinstance(table, Sequence) and not isinstance(table, (str, bytes)) else [table]
+    if set(map(type, table)) != {int}:
+        # bools, floats, strs, lists or numpy integers: read one by one, so the first bad entry is named
+        table = [_integer(v, "table value") for v in table]
+    if len(table) != count:
+        raise OutOfRangeError(f"table has {len(table)} entries, expected {count}")
+    fmt = _FORMATS[_width(q)]
+    try:
+        # each refuses a negative entry and one too wide for it
+        data = bytes(table) if fmt == "B" else array(fmt, table)
+    except (ValueError, OverflowError):
+        data = None
+    if data is None or max(data) >= q:
+        bad = next(v for v in table if not 0 <= v < q)
+        raise OutOfRangeError(f"table value {bad} outside alphabet of size {q}")
+    return bytes(data)
+
+
+def _array_bytes(values: np.ndarray, q: int, count: int) -> bytes:
+    """The stored bytes of an array of ``count`` entries.  numpy checks
+    and packs an integer array of states; any other array (of floats,
+    bools or objects, of the wrong size, or with an entry out of range)
+    goes through ``_entry_bytes``, which refuses it and names its first
+    bad entry."""
+    if values.dtype.kind in "iu" and values.size == count:
+        # viewed unsigned, a negative entry lies above every q <= 2**63
+        unsigned = values if values.dtype.kind == "u" else values.astype("i8", copy=False).view("u8")
+        if unsigned.max() < q:
+            return values.astype(f"u{_width(q)}", copy=False).tobytes()
+    return _entry_bytes(values.ravel().tolist(), q, count)
+
+
+class _view(cached_property):
+    """``functools.cached_property`` without the lock it takes before
+    Python 3.12, which costs each first read about a microsecond; threads
+    that race build a view twice at worst, and all of them keep the first."""
+
+    def __get__(self, rule: Any, owner: type | None = None) -> Any:
+        return self if rule is None else vars(rule).setdefault(self.attrname, self.func(rule))
+
+
 @dataclass(frozen=True)
 class LocalRule:
     """A local transition table over a fixed alphabet and neighborhood.
 
     The ``table`` argument may be a flat sequence of q^k integers, or an
     integer array of q^k entries taken in C order; floats, strings, bools
-    and nested or ragged lists are refused.  A sequence is scanned entry
-    by entry for bools, which numpy would read as ints, so large tables
-    are best passed as arrays.  The table is stored once, as the bytes of
-    its entries in the smallest unsigned dtype that holds q - 1.
-    ``array`` is a flat read-only view of them, and its view
-    ``array.reshape((q,) * k)`` has one axis per offset (see the module
-    docstring).  The ``table`` attribute reads the same entries as a tuple
-    of Python ints.  Rules are equal when their alphabets, neighborhoods
-    and table bytes are.
+    and nested or ragged lists are refused.  A sequence is checked in pure
+    Python; only an array goes through numpy.  The table is stored once,
+    as the bytes of its entries in the smallest unsigned width (1, 2, 4 or
+    8 bytes) that holds q - 1.  Two views of those bytes are built on
+    first read: ``table``, a tuple of Python ints, and ``array``, a flat
+    read-only numpy array whose view ``array.reshape((q,) * k)`` has one
+    axis per offset (see the module docstring).  Only ``array`` loads
+    numpy.  Rules are equal when their alphabets, neighborhoods and table
+    bytes are.
     """
 
     alphabet: Alphabet
     neighborhood: Neighborhood
-    array: np.ndarray = field(compare=False)
     _bytes: bytes
 
     def __init__(self, alphabet: Alphabet, neighborhood: Neighborhood, table: Sequence[int] | np.ndarray) -> None:
-        q = alphabet.size
-        try:
-            values = np.asarray(table)
-        except ValueError:
-            # a ragged list: a placeholder of its length, so that its entries
-            # are read one by one below, as a nested list's are
-            values = np.empty(len(table), dtype=object)
-        # a sequence, not an array or a scalar (minimizing to no offsets gives a numpy scalar)
-        listed = values.ndim > 0 and not isinstance(table, np.ndarray)
-        # numpy reads nested lists as axes, and bools mixed into ints as ints
-        by_entry = listed and (values.ndim != 1 or not {bool, np.bool_}.isdisjoint(map(type, table)))
-        if by_entry or values.dtype.kind not in "iu":
-            # floats, strings, bools, lists, or integers beyond int64: name the first bad entry
-            entries = [_integer(v, "table value") for v in (table if listed else values.ravel().tolist())]
-            for v in entries:
-                if not 0 <= v < q:
-                    raise OutOfRangeError(f"table value {v} outside alphabet of size {q}")
-            values = np.array(entries, dtype=np.int64)
-        if values.size != q ** len(neighborhood):
-            raise OutOfRangeError(f"table has {values.size} entries, expected {q ** len(neighborhood)}")
-        # viewed unsigned, a negative entry lies above every q <= 2**63
-        unsigned = values if values.dtype.kind == "u" else values.astype(np.int64, copy=False).view(np.uint64)
-        if unsigned.max() >= q:
-            bad = next(v for v in values.ravel().tolist() if not 0 <= v < q)
-            raise OutOfRangeError(f"table value {bad} outside alphabet of size {q}")
-        dtype = np.min_scalar_type(q - 1)
-        data = values.astype(dtype, copy=False).tobytes()
-        array = np.frombuffer(data, dtype)
+        q, count = alphabet.size, alphabet.size ** len(neighborhood)
+        # only an ndarray or a numpy scalar goes through numpy, and neither exists before numpy is loaded
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(table, (numpy.ndarray, numpy.generic)):
+            data = _array_bytes(numpy.asarray(table), q, count)
+        else:
+            data = _entry_bytes(table, q, count)
         # frozen, so the fields are written past __setattr__
-        vars(self).update(alphabet=alphabet, neighborhood=neighborhood, array=array, _bytes=data)
+        vars(self).update(alphabet=alphabet, neighborhood=neighborhood, _bytes=data)
 
-    @cached_property
+    @_view
     def table(self) -> tuple[int, ...]:
-        return tuple(self.array.tolist())
+        width = _width(self.q)
+        # bytes iterate as the entries of width 1
+        return tuple(self._bytes if width == 1 else memoryview(self._bytes).cast(_FORMATS[width]))
+
+    @_view
+    def array(self) -> np.ndarray:
+        import numpy as np
+
+        # read-only, as a view of bytes
+        return np.frombuffer(self._bytes, f"u{_width(self.q)}")
 
     def __repr__(self) -> str:
         return f"LocalRule(alphabet={self.alphabet!r}, neighborhood={self.neighborhood!r}, table={self.table!r})"
 
     def __reduce__(self) -> tuple[type, tuple]:
-        # copies and pickles go through the constructor, so ``array`` stays a read-only view of the bytes
-        return LocalRule, (self.alphabet, self.neighborhood, self.array)
+        # copies and pickles go through the constructor, from the table's ints
+        return LocalRule, (self.alphabet, self.neighborhood, self.table)
 
     @property
     def q(self) -> int:
@@ -363,9 +413,8 @@ def eca_from_wolfram(number: int) -> LocalRule:
     number = _integer(number, "Wolfram number")
     if not 0 <= number <= 255:
         raise OutOfRangeError(f"Wolfram number {number} outside 0..255")
-    # entry i is bit 7 - i; an array, so LocalRule does not scan it for bools
-    table = np.unpackbits(np.array([number], dtype=np.uint8))
-    return LocalRule(Alphabet(2), ECA_NEIGHBORHOOD, table)
+    # entry i is bit 7 - i: the i-th of the number's eight binary digits
+    return LocalRule(Alphabet(2), ECA_NEIGHBORHOOD, tuple(map(int, f"{number:08b}")))
 
 
 def wolfram_number(rule: LocalRule) -> int:
@@ -387,6 +436,8 @@ def minimize_neighborhood(rule: LocalRule) -> LocalRule:
     equals the first.  The result computes the same local function;
     repeated application is a fixed point after one pass.
     """
+    import numpy as np
+
     q, k = rule.q, rule.arity
     axes = rule.array.reshape((q,) * k)
     keep = [j for j in range(k) if np.count_nonzero(axes != axes[(slice(None),) * j + (slice(0, 1),)])]
@@ -412,6 +463,8 @@ def with_neighborhood(rule: LocalRule, neighborhood: Neighborhood) -> LocalRule:
         raise OutOfRangeError("dimensions differ")
     if missing := [n for n in rule.neighborhood if n not in neighborhood]:
         raise OutOfRangeError(f"offset {missing[0]} missing from target neighborhood")
+    import numpy as np
+
     q = rule.q
     shape = [q if n in rule.neighborhood else 1 for n in neighborhood]
     return LocalRule(rule.alphabet, neighborhood, np.broadcast_to(rule.array.reshape(shape), (q,) * len(shape)))

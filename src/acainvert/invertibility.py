@@ -67,9 +67,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .core import (
     Cell,
@@ -90,6 +88,9 @@ from .errors import (
     ResourceCapExceededError,
 )
 from .rulefmt import rule_to_dict, window_to_dict
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Verdict",
@@ -222,6 +223,8 @@ def _flips(tab: np.ndarray, q: int, w: int):
     """The entries of the rule table ``tab`` whose update changes the
     center, 0's index weight being ``w``: their indices (``sources``,
     ascending), their centers, and their new center states."""
+    import numpy as np
+
     # axis 1 is the read of 0
     out = tab.reshape(-1, q, w)
     change = out != np.arange(q)[:, None]
@@ -232,6 +235,8 @@ def _flips(tab: np.ndarray, q: int, w: int):
 
 
 def _local_indices(rows: np.ndarray, columns: list[int], q: int) -> np.ndarray:
+    import numpy as np
+
     index = np.zeros(len(rows), dtype=np.int64)
     for col in columns:
         index = index * q + rows[:, col]
@@ -260,6 +265,8 @@ def _purely_sweep(q: int, weights: np.ndarray, plan, table, tab2, bound: int | N
     again.  So a block of more than one row is never extended into more
     than ``_SWEEP_BLOCK`` rows, and one row makes at most q.
     """
+    import numpy as np
+
     positions, tests, undo = plan
     counts, ends, flip_digits, flip_states = table
     width = len(weights)
@@ -326,6 +333,8 @@ class _PurelyLayout:
     """
 
     def __init__(self, reach: Neighborhood, cells: tuple[Cell, ...], q: int):
+        import numpy as np
+
         self.reach, self.cells, self.plans = reach, cells, {}
         self.zero = reach.offsets.index(reach.origin)
         self.w = q ** (len(reach) - 1 - self.zero)
@@ -351,6 +360,8 @@ def _least_zero_flip(layout: _PurelyLayout, q: int, flips, tab2: np.ndarray):
     ``tab2`` does not take back to c; b's digits go at M's positions in T,
     0 elsewhere.  None if there is none.
     """
+    import numpy as np
+
     sources, centers, states = flips
     # int64 before subtracting, so a narrow unsigned table does not wrap
     missed = sources[tab2[sources + (states.astype(np.int64) - centers) * layout.w] != centers]
@@ -389,6 +400,8 @@ def _purely_sets(C: LocalRule, G: LocalRule, cap: int):
     as the ``counts[p]`` entries that end at ``ends[p]``, each a last read
     (``digits``, ascending) with its new center state.
     """
+    import numpy as np
+
     _require_pair(C, G)
     q = C.q
     layout = _purely_layout(C.neighborhood, q, cap)
@@ -702,6 +715,8 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
     two predecessors of the least configuration pin its entry to the two
     least states other than its output, and that conflict is returned.
     """
+    import numpy as np
+
     q = rule.q
     origin = rule.neighborhood.origin
     if origin in rule.neighborhood:
@@ -728,7 +743,7 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
         source = rule.decode_index(0)
         first, second = [v for v in range(3) if v != rule.table[0]][:2]
         return DerivationConflict(source, source, first, source, second)
-    # an array, so LocalRule does not scan the q^k entries for bools
+    # an array, which LocalRule checks and packs with numpy
     return LocalRule(rule.alphabet, rule.neighborhood, np.array(table))
 
 
@@ -808,10 +823,11 @@ def two_predecessor_witness(rule: LocalRule) -> TwoPredecessorWitness | None:
     offsets = rule.neighborhood.offsets
     dim = rule.neighborhood.dimension
     weight = q ** (rule.arity - 1 - offsets.index(rule.neighborhood.origin))
-    sources, _, states = _flips(rule.array, q, weight)
-    if not len(sources):
+    # the least entry whose output is not its center
+    index = next((i for i, out in enumerate(rule.table) if out != i // weight % q), None)
+    if index is None:
         return None
-    index, successor_value = int(sources[0]), int(states[0])
+    successor_value = rule.table[index]
 
     # the copies around -d·e1 and +d·e1 share a cell exactly when two offsets
     # that agree past the first axis differ by 2d on it

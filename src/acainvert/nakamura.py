@@ -24,8 +24,6 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
 from .core import Alphabet, LocalRule, Neighborhood, with_neighborhood
 from .errors import AlphabetMismatchError, NeighborhoodMismatchError, OutOfRangeError, ResourceCapExceededError
 from .invertibility import DEFAULT_WINDOW_CAP, DecisionReport, check_inverse_purely
@@ -115,6 +113,8 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
     ``_TABLE_BLOCK`` entries.  Tables of more entries than numpy can
     index raise ``ResourceCapExceededError`` before anything is built.
     """
+    import numpy as np
+
     if C.alphabet != G.alphabet:
         raise AlphabetMismatchError("bar construction needs a shared alphabet")
     if C.neighborhood.dimension != G.neighborhood.dimension:

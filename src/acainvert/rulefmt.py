@@ -16,8 +16,6 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from .core import Alphabet, LocalRule, Neighborhood, WindowConfig, eca_from_wolfram
 from .errors import OutOfDomainError, OutOfRangeError, RuleFormatError
 
@@ -41,7 +39,7 @@ def _rule_fields(rule: LocalRule) -> dict[str, Any]:
 
 
 def rule_to_dict(rule: LocalRule) -> dict[str, Any]:
-    return {**_rule_fields(rule), "table": rule.array.tolist()}
+    return {**_rule_fields(rule), "table": list(rule.table)}
 
 
 def rule_from_dict(doc: Any) -> LocalRule:
@@ -106,6 +104,8 @@ def dump_rule(rule: LocalRule, path: str | Path, extra: dict[str, Any] | None = 
     and otherwise each block's entries are converted one by one, so it is
     never sized by q.  ``extra`` may not replace a rule field.
     """
+    import numpy as np
+
     doc = {**_rule_fields(rule), "table": []}
     if extra:
         clash = sorted(doc.keys() & extra.keys())

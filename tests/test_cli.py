@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -490,3 +494,45 @@ class TestSimulate:
         result = run_cli("simulate", "--wolfram", "110", "--scheme", "purely",
                          "--size", "8", "--steps", "1", "--seed", "1", "--p", "1.5")
         assert result.exit_code == 2
+
+
+# run in a fresh interpreter, which prints each command's exit code and
+# then whether numpy is loaded
+_CHILD = """
+import contextlib, io, sys
+from acainvert import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in {runs!r}]
+print(*codes, "numpy" in sys.modules)
+"""
+
+
+def run_child(tmp_path, runs: list[list[str]]) -> str:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _CHILD.format(runs=runs)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_commands_that_decide_nothing_never_load_numpy(tmp_path):
+    """Importing the CLI, loading a rule from a Wolfram number or a rule
+    file, simulating under both schemes in text and JSON, and building a
+    witness-r2 window pair read rule tables as Python ints only."""
+    # a 3-state rule file, read through load_rule
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"dimension": 1, "alphabet": 3, "neighborhood": [[-1], [0], [1]],
+                                "table": [i * 7 % 3 for i in range(27)]}))
+    runs = [["witness-r2", "--wolfram", "110"]]
+    for source in (["--wolfram", "110"], ["--rule", str(path)]):
+        for scheme in ("purely", "fully"):
+            for form in ("text", "json"):
+                runs.append(["simulate", *source, "--scheme", scheme, "--size", "16", "--steps", "4",
+                             "--seed", "7", "--format", form])
+    assert run_child(tmp_path, runs) == "0 " * len(runs) + "False\n"
+
+
+def test_deciding_loads_numpy_and_answers(tmp_path):
+    """A decision loads numpy on first use and gives today's verdict."""
+    assert run_child(tmp_path, [["decide", "--wolfram", "110", "--scheme", "purely"]]) == "3 True\n"

@@ -204,6 +204,23 @@ class TestLocalRuleValue:
         assert rule.array.shape == (q,)
         assert rule.table == tuple(range(q))
 
+    @pytest.mark.parametrize("q", [1, 2, 256, 257, 65536, 65537, 2**32, 2**32 + 1, 2**63])
+    def test_sequences_and_arrays_store_the_same_bytes(self, q):
+        """A tuple and a list, checked in pure Python, and an ndarray,
+        checked by numpy, give one rule.  On the neighborhood with no
+        offsets the table is the one entry q - 1, so each q sits at the
+        edge of an entry width: 256 and 257 are the last uint8 and the
+        first uint16 alphabets."""
+        forms = [(q - 1,), [q - 1], np.array([q - 1]), np.array([q - 1], dtype=np.uint64)]
+        rules = [LocalRule(Alphabet(q), Neighborhood.line(), table) for table in forms]
+        first = rules[0]
+        assert all(r == first and hash(r) == hash(first) and r._bytes == first._bytes for r in rules)
+        assert {r.array.dtype for r in rules} == {np.min_scalar_type(q - 1)}
+        assert len(first._bytes) == first.array.itemsize
+        for rule in rules:
+            assert rule.table == (q - 1,) and type(rule.table[0]) is int
+            assert rule.array.tolist() == [q - 1]
+
     def test_axis_view_is_mixed_radix(self):
         rule = rule_of([0, 1, 2, 0, 1, 2, 2, 2, 0], -1, 1, q=3)
         axes = rule.array.reshape((3, 3))

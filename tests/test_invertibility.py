@@ -472,9 +472,9 @@ def sweep_block_pairs():
 @pytest.fixture
 def expansions(monkeypatch):
     """(rows in, rows out) of every block the purely sweep extends.  The
-    sweep makes its first row with ``invertibility.np.zeros``; a module
-    proxy returns it as an ndarray subclass, which every slice and repeat
-    of it inherits, whose 2-D ``repeat`` logs its rows in and out."""
+    sweep makes its first row with ``numpy.zeros``, patched here to return
+    it as an ndarray subclass, which every slice and repeat of it
+    inherits, whose 2-D ``repeat`` logs its rows in and out."""
     log = []
 
     class Rows(np.ndarray):
@@ -484,15 +484,8 @@ def expansions(monkeypatch):
                 log.append((len(self), len(out)))
             return out
 
-    class Numpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def zeros(*args, **kwargs):
-            return np.zeros(*args, **kwargs).view(Rows)
-
-    monkeypatch.setattr(invertibility, "np", Numpy())
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: zeros(*args, **kwargs).view(Rows))
     return log
 
 
