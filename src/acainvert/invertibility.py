@@ -75,6 +75,7 @@ from .core import (
     Neighborhood,
     WindowConfig,
     _integer,
+    _pack,
     add_cells,
     minimize_neighborhood,
     step,
@@ -715,8 +716,6 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
     two predecessors of the least configuration pin its entry to the two
     least states other than its output, and that conflict is returned.
     """
-    import numpy as np
-
     q = rule.q
     origin = rule.neighborhood.origin
     if origin in rule.neighborhood:
@@ -743,8 +742,8 @@ def derive_candidate_inverse(rule: LocalRule) -> LocalRule | DerivationConflict:
         source = rule.decode_index(0)
         first, second = [v for v in range(3) if v != rule.table[0]][:2]
         return DerivationConflict(source, source, first, source, second)
-    # an array, which LocalRule checks and packs with numpy
-    return LocalRule(rule.alphabet, rule.neighborhood, np.array(table))
+    # every entry is a center or an output of the checked rule, so it packs unchecked
+    return LocalRule._canonical(rule.alphabet, rule.neighborhood, _pack(table, q))
 
 
 def _decide(rule: LocalRule, checker: Callable, *, window_cap: int) -> DecisionReport:

@@ -19,6 +19,7 @@ from acainvert.nakamura import verify_theorem1
 from acainvert.rulefmt import dump_rule, load_rule
 from acainvert.simulate import simulate
 
+from test_atlas import ATLAS_DIGESTS
 from test_nakamura import shift_pair
 
 
@@ -531,6 +532,26 @@ def test_commands_that_decide_nothing_never_load_numpy(tmp_path):
                 runs.append(["simulate", *source, "--scheme", scheme, "--size", "16", "--steps", "4",
                              "--seed", "7", "--format", form])
     assert run_child(tmp_path, runs) == "0 " * len(runs) + "False\n"
+
+
+def test_fully_decisions_never_load_numpy(tmp_path):
+    """Fully decisions minimize, derive and widen on table bytes: rule 110,
+    rule 15 (which minimizes to (-1,), so the derivation flips each entry),
+    a 3-state derivation conflict and a 3-state center permutation (which
+    minimizes to (0,) and widens back to (-1, 0, 1)) answer without numpy,
+    and so does the fully atlas, whose bytes keep their digests."""
+    conflict, permutation = tmp_path / "conflict.json", tmp_path / "permutation.json"
+    conflict.write_text(json.dumps({"dimension": 1, "alphabet": 3, "neighborhood": [[-1], [0]],
+                                    "table": [1, 1, 0, 1, 2, 1, 1, 1, 1]}))
+    permutation.write_text(json.dumps({"dimension": 1, "alphabet": 3, "neighborhood": [[-1], [0], [1]],
+                                       "table": [(i // 3 + 1) % 3 for i in range(27)]}))
+    runs = [["decide", *source, "--scheme", "fully"]
+            for source in (["--wolfram", "110"], ["--wolfram", "15"], ["--rule", str(conflict)],
+                           ["--rule", str(permutation)])]
+    runs.append(["classify-eca", "--scheme", "fully", "--out", "atlas.json", "--csv", "atlas.csv"])
+    assert run_child(tmp_path, runs) == "3 3 3 0 0 False\n"
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("atlas.json", "atlas.csv"))
+    assert digests == ATLAS_DIGESTS["fully"]
 
 
 def test_deciding_loads_numpy_and_answers(tmp_path):

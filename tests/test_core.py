@@ -456,24 +456,89 @@ def rules_within(draw, span=(-2, 2)):
     return LocalRule(Alphabet(q), Neighborhood.line(*offsets), table)
 
 
-@settings(max_examples=150, deadline=None)
-@given(rule=rules_within(), extra=st.lists(st.integers(-3, 3), unique=True, max_size=2))
-def test_with_neighborhood_matches_per_entry_loop(rule, extra):
-    """Each entry of the widened table reads the rule at its own offsets."""
-    target = Neighborhood(1, tuple(set(rule.neighborhood) | {(n,) for n in extra}))
+def broadcast(rule, target):
+    """numpy's widening of ``rule`` to ``target``: its axis view broadcast
+    along the target's other axes."""
+    q = rule.q
+    shape = [q if n in rule.neighborhood else 1 for n in target]
+    return LocalRule(rule.alphabet, target, np.broadcast_to(rule.array.reshape(shape), (q,) * len(shape)))
+
+
+# wider tables than rules_within draws, as (dimension, q, offsets, most
+# offsets a table reads): 2-byte entries, 4-byte entries, and binary planar
+# rules on subsets of the von Neumann neighborhood
+WIDE_TABLES = [
+    (1, 257, [(n,) for n in range(-2, 3)], 2),
+    (1, 65537, [(n,) for n in range(-2, 3)], 1),
+    (2, 2, [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)], 5),
+]
+
+
+@st.composite
+def widenings(draw):
+    """A rule and a superset neighborhood of it: a rules_within rule with up
+    to two more offsets, or a WIDE_TABLES rule whose table is random on some
+    of its offsets and constant along the others (q = 65537 reads no offset
+    and widens to one)."""
+    if draw(st.booleans()):
+        rule = draw(rules_within())
+        extra = draw(st.lists(st.integers(-3, 3), unique=True, max_size=2))
+        return rule, Neighborhood(1, tuple(set(rule.neighborhood) | {(n,) for n in extra}))
+    dimension, q, offsets, most = draw(st.sampled_from(WIDE_TABLES))
+    target = draw(st.lists(st.sampled_from(offsets), unique=True, max_size=most))
+    reads = draw(st.lists(st.sampled_from(target), unique=True, max_size=most - (q == 65537))) if target else []
+    live = draw(st.lists(st.sampled_from(reads), unique=True)) if reads else []
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rule = LocalRule(Alphabet(q), Neighborhood(dimension, tuple(live)), rng.integers(0, q, q ** len(live)))
+    return broadcast(rule, Neighborhood(dimension, tuple(reads))), Neighborhood(dimension, tuple(target))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=widenings())
+def test_with_neighborhood_matches_per_entry_loop(case):
+    """Each entry of the widened table reads the rule at its own offsets;
+    the bytes are numpy's broadcast, and for q <= 3 each entry is checked
+    by a loop."""
+    rule, target = case
     wide = with_neighborhood(rule, target)
+    assert (wide.neighborhood, wide._bytes) == (target, broadcast(rule, target)._bytes)
+    if rule.q > 3:
+        return
     where = [target.offsets.index(o) for o in rule.neighborhood.offsets]
     for i, local in enumerate(itertools.product(range(rule.q), repeat=len(target))):
         assert wide.table[i] == rule.table[rule.local_index([local[j] for j in where])]
 
 
-@settings(max_examples=150, deadline=None)
-@given(rule=rules_within())
-def test_minimize_matches_per_entry_loop(rule):
+@pytest.mark.parametrize("dimension, q, offsets, most", WIDE_TABLES)
+def test_wide_tables_gain_an_axis_at_every_position(dimension, q, offsets, most):
+    """A seeded rule on each proper subset of a WIDE_TABLES neighborhood
+    widens to numpy's broadcast, so new axes go in at every position, the
+    last included, and minimizes back to what the rule minimizes to."""
+    target = Neighborhood(dimension, tuple(offsets[:most]))
+    rng = np.random.default_rng(7)
+    for reads in itertools.chain.from_iterable(itertools.combinations(target, n) for n in range(most)):
+        rule = LocalRule(Alphabet(q), Neighborhood(dimension, reads), rng.integers(0, q, q ** len(reads)))
+        wide = with_neighborhood(rule, target)
+        assert wide._bytes == broadcast(rule, target)._bytes
+        assert minimize_neighborhood(wide) == minimize_neighborhood(rule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=widenings())
+def test_minimize_matches_per_entry_loop(case):
     """An offset is kept exactly when two local configurations that differ
     only there map to different states, and the kept offsets compute the
-    same function."""
+    same function: numpy's broadcast of the result gives back the rule's
+    bytes, and for q <= 3 a loop finds the offsets read.  The rule is
+    widened by numpy first, so its new offsets are dummies."""
+    rule = broadcast(*case)
     q, offsets = rule.q, rule.neighborhood.offsets
+    mini = minimize_neighborhood(rule)
+    assert broadcast(mini, rule.neighborhood)._bytes == rule._bytes
+    axes = mini.array.reshape((q,) * mini.arity)
+    assert all(np.any(axes != axes.take([0], axis=j)) for j in range(mini.arity))
+    if q > 3:
+        return
     needed = set()
     for local in rule.all_locals():
         for j in range(len(offsets)):
@@ -481,7 +546,6 @@ def test_minimize_matches_per_entry_loop(rule):
                 other = local[:j] + (v,) + local[j + 1 :]
                 if rule.apply_local(other) != rule.apply_local(local):
                     needed.add(offsets[j])
-    mini = minimize_neighborhood(rule)
     assert set(mini.neighborhood.offsets) == needed
     where = [offsets.index(o) for o in mini.neighborhood.offsets]
     for local in rule.all_locals():
