@@ -490,22 +490,5 @@ def with_neighborhood(rule: LocalRule, neighborhood: Neighborhood) -> LocalRule:
     q, w, data = rule.q, _width(rule.q), rule._bytes
     # the bytes of one slice along the target's axes after each new axis, last axis first
     for s in [w * q**i for i, n in enumerate(reversed(neighborhood.offsets)) if n not in rule.neighborhood]:
-        if q * s <= 64 and q * s * s < len(data):
-            # byte t of slice b goes to the q places (b*q + j)*s + t: q*s
-            # strided copies, of every s-th byte from t, beat a join of one
-            # slice per block once they are fewer than the blocks and their
-            # stride q*s is at most 64 bytes (on 2^19 bytes, 1.4 against
-            # 35 ms at q = s = 3; at q*s = 125 the join is ahead)
-            out = bytearray(len(data) * q)
-            for t in range(s):
-                column = data[t::s]
-                for j in range(q):
-                    out[j * s + t :: q * s] = column
-            data = bytes(out)
-        elif s == len(data):
-            # a new first axis: join copies each repeat from the table itself,
-            # where data * q would copy from its own output
-            data = b"".join([data] * q)
-        else:
-            data = b"".join([data[b : b + s] * q for b in range(0, len(data), s)])
+        data = b"".join([data[b : b + s] * q for b in range(0, len(data), s)])
     return LocalRule._canonical(rule.alphabet, neighborhood, data)
