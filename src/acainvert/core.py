@@ -167,7 +167,7 @@ def _width(q: int) -> int:
 def _entry_bytes(table: Any, q: int, count: int) -> bytes:
     """The stored bytes of ``count`` table entries given as Python values,
     checked in pure Python.  A sequence other than a str or bytes holds
-    the entries; anything else is one entry, as numpy reads a scalar."""
+    the entries; anything else is one entry."""
     if not isinstance(table, (list, tuple)):
         table = list(table) if isinstance(table, Sequence) and not isinstance(table, (str, bytes)) else [table]
     if set(map(type, table)) != {int}:
@@ -175,36 +175,21 @@ def _entry_bytes(table: Any, q: int, count: int) -> bytes:
         table = [_integer(v, "table value") for v in table]
     if len(table) != count:
         raise OutOfRangeError(f"table has {len(table)} entries, expected {count}")
-    fmt = _FORMATS[_width(q)]
     try:
-        # each refuses a negative entry and one too wide for it
-        data = bytes(table) if fmt == "B" else array(fmt, table)
+        # packing refuses a negative entry and one too wide for q's width
+        data = _pack(table, q)
     except (ValueError, OverflowError):
         data = None
-    if data is None or max(data) >= q:
+    if data is None or max(table) >= q:
         bad = next(v for v in table if not 0 <= v < q)
         raise OutOfRangeError(f"table value {bad} outside alphabet of size {q}")
-    return bytes(data)
+    return data
 
 
 def _pack(entries: Sequence[int], q: int) -> bytes:
     """The stored bytes of entries that are already Python ints in 0..q-1."""
     width = _width(q)
     return bytes(entries) if width == 1 else array(_FORMATS[width], entries).tobytes()
-
-
-def _array_bytes(values: np.ndarray, q: int, count: int) -> bytes:
-    """The stored bytes of an array of ``count`` entries.  numpy checks
-    and packs an integer array of states; any other array (of floats,
-    bools or objects, of the wrong size, or with an entry out of range)
-    goes through ``_entry_bytes``, which refuses it and names its first
-    bad entry."""
-    if values.dtype.kind in "iu" and values.size == count:
-        # viewed unsigned, a negative entry lies above every q <= 2**63
-        unsigned = values if values.dtype.kind == "u" else values.astype("i8", copy=False).view("u8")
-        if unsigned.max() < q:
-            return values.astype(f"u{_width(q)}", copy=False).tobytes()
-    return _entry_bytes(values.ravel().tolist(), q, count)
 
 
 class _view(cached_property):
@@ -220,17 +205,16 @@ class _view(cached_property):
 class LocalRule:
     """A local transition table over a fixed alphabet and neighborhood.
 
-    The ``table`` argument may be a flat sequence of q^k integers, or an
-    integer array of q^k entries taken in C order; floats, strings, bools
-    and nested or ragged lists are refused.  A sequence is checked in pure
-    Python; only an array goes through numpy.  The table is stored once,
-    as the bytes of its entries in the smallest unsigned width (1, 2, 4 or
-    8 bytes) that holds q - 1.  Two views of those bytes are built on
-    first read: ``table``, a tuple of Python ints, and ``array``, a flat
-    read-only numpy array whose view ``array.reshape((q,) * k)`` has one
-    axis per offset (see the module docstring).  Only ``array`` loads
-    numpy.  Rules are equal when their alphabets, neighborhoods and table
-    bytes are.
+    The ``table`` argument may be a flat sequence of q^k integers, or a
+    numpy array or scalar, read as its entries in C order; either is
+    checked in pure Python, and floats, strings, bools and nested or
+    ragged lists are refused.  The table is stored once, as the bytes of
+    its entries in the smallest unsigned width (1, 2, 4 or 8 bytes) that
+    holds q - 1.  Two views of those bytes are built on first read:
+    ``table``, a tuple of Python ints, and ``array``, a flat read-only
+    numpy array whose view ``array.reshape((q,) * k)`` has one axis per
+    offset (see the module docstring).  Only ``array`` loads numpy.  Rules
+    are equal when their alphabets, neighborhoods and table bytes are.
     """
 
     alphabet: Alphabet
@@ -239,14 +223,13 @@ class LocalRule:
 
     def __init__(self, alphabet: Alphabet, neighborhood: Neighborhood, table: Sequence[int] | np.ndarray) -> None:
         q, count = alphabet.size, alphabet.size ** len(neighborhood)
-        # only an ndarray or a numpy scalar goes through numpy, and neither exists before numpy is loaded
+        # an ndarray or a numpy scalar is read as its entries in C order, and
+        # neither exists before numpy is loaded
         numpy = sys.modules.get("numpy")
         if numpy is not None and isinstance(table, (numpy.ndarray, numpy.generic)):
-            data = _array_bytes(numpy.asarray(table), q, count)
-        else:
-            data = _entry_bytes(table, q, count)
+            table = numpy.ravel(table).tolist()
         # frozen, so the fields are written past __setattr__
-        vars(self).update(alphabet=alphabet, neighborhood=neighborhood, _bytes=data)
+        vars(self).update(alphabet=alphabet, neighborhood=neighborhood, _bytes=_entry_bytes(table, q, count))
 
     @classmethod
     def _canonical(cls, alphabet: Alphabet, neighborhood: Neighborhood, data: bytes) -> "LocalRule":

@@ -76,6 +76,7 @@ from .core import (
     WindowConfig,
     _integer,
     _pack,
+    _width,
     add_cells,
     minimize_neighborhood,
     step,
@@ -271,7 +272,8 @@ def _purely_sweep(q: int, weights: np.ndarray, plan, table, tab2, bound: int | N
     positions, tests, undo = plan
     counts, ends, flip_digits, flip_states = table
     width = len(weights)
-    dtype = np.min_scalar_type(q)
+    # a row holds states, in the tables' entry width
+    dtype = f"u{_width(q)}"
     digits = np.arange(q, dtype=dtype)
     # (level, rows, the flip-table rows of their test's reads or None)
     stack = [(0, np.zeros((1, width + len(undo)), dtype=dtype), None)]
@@ -368,7 +370,7 @@ def _least_zero_flip(layout: _PurelyLayout, q: int, flips, tab2: np.ndarray):
     missed = sources[tab2[sources + (states.astype(np.int64) - centers) * layout.w] != centers]
     if not len(missed):
         return None
-    row = np.zeros(len(layout.cells), dtype=np.min_scalar_type(q))
+    row = np.zeros(len(layout.cells), dtype=f"u{_width(q)}")
     row[layout.sums[layout.zero]] = np.unravel_index(missed[0], (q,) * len(layout.reach))
     return row
 

@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .core import Alphabet, LocalRule, Neighborhood, with_neighborhood
+from .core import Alphabet, LocalRule, Neighborhood, _width, with_neighborhood
 from .errors import AlphabetMismatchError, NeighborhoodMismatchError, OutOfRangeError, ResourceCapExceededError
 from .invertibility import DEFAULT_WINDOW_CAP, DecisionReport, check_inverse_purely
 
@@ -110,8 +110,10 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
     sigma, where sigma(curr·3q + old·3 + t) = old·3q + curr·3 + (-t mod 3)
     on each code.  The tables are filled in slabs that fix the leading
     axes, one index or a run of them at a time, so that a slab holds at most
-    ``_TABLE_BLOCK`` entries.  Tables of more entries than numpy can
-    index raise ``ResourceCapExceededError`` before anything is built.
+    ``_TABLE_BLOCK`` entries.  The tables are built in the entry width
+    ``LocalRule`` stores, and stored as built, unchecked: every entry is a
+    bar code.  Tables of more entries than numpy can index raise
+    ``ResourceCapExceededError`` before anything is built.
     """
     import numpy as np
 
@@ -168,7 +170,7 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
     rest = arity - lead
     span = size**rest
     run = max(1, _TABLE_BLOCK // span)
-    forward_table = np.empty(size**arity, dtype=np.min_scalar_type(size - 1))
+    forward_table = np.empty(size**arity, dtype=f"u{_width(size)}")
     backward_table = np.empty_like(forward_table)
     for lo in range(0, size**lead, run):
         hi = min(lo + run, size**lead)
@@ -190,8 +192,8 @@ def build_bar_pair(C: LocalRule, G: LocalRule) -> BarRulePair:
         # build instead of 220)
         forward_table[block], backward_table[block] = forward.ravel(), backward.ravel()
     return BarRulePair(
-        forward=LocalRule(alphabet, shared, forward_table),
-        backward=LocalRule(alphabet, shared, backward_table),
+        forward=LocalRule._canonical(alphabet, shared, forward_table.tobytes()),
+        backward=LocalRule._canonical(alphabet, shared, backward_table.tobytes()),
         base_alphabet=C.alphabet,
     )
 

@@ -286,6 +286,23 @@ def naive_decide(check, offsets, q, delta):
     return any(check(offsets, q, delta, tuple(gamma)) for gamma in all_tables(q, len(offsets)))
 
 
+def naive_synchronous_inverse(offsets, q, c_table, g_table):
+    """Whether (C, G), two rules on the same offsets, are a synchronous
+    inverse pair: on every assignment to the cells {0} ∪ (N + N), one rule
+    applied at every cell of N and then the other at 0 gives back the
+    state of 0, with G after C and with C after G."""
+    cells = sorted({0} | {m + n for m in offsets for n in offsets})
+    pos = {c: i for i, c in enumerate(cells)}
+    for first, second in ((c_table, g_table), (g_table, c_table)):
+        for window in product(range(q), repeat=len(cells)):
+            idx = 0
+            for n in offsets:
+                idx = idx * q + first[pattern_index(offsets, q, window, pos, n)]
+            if second[idx] != window[pos[0]]:
+                return False
+    return True
+
+
 def step_ring(offsets, q, table, states, active):
     """One asynchronous step on a cyclic lattice."""
     n = len(states)

@@ -150,7 +150,12 @@ class TestLocalRuleValue:
     TABLE = (0, 1, 1, 0, 1, 1, 1, 0)  # rule 110
 
     def forms(self):
-        return [self.TABLE, list(self.TABLE), np.array(self.TABLE, dtype=np.int64), np.array(self.TABLE, dtype=object)]
+        """The table as a tuple and a list, and as arrays whose entries in
+        C order are the table: flat, 2-D in C and in Fortran order, and a
+        view with reversed strides."""
+        flat = np.array(self.TABLE, dtype=np.int64)
+        return [self.TABLE, list(self.TABLE), flat, np.array(self.TABLE, dtype=object), flat.reshape(2, 4),
+                np.asfortranarray(flat.reshape(2, 4)), np.array(self.TABLE[::-1], dtype=np.uint8)[::-1]]
 
     def test_forms_are_equal_and_hash_equal(self):
         rules = [LocalRule(Alphabet(2), ECA_NEIGHBORHOOD, t) for t in self.forms()]
@@ -206,12 +211,13 @@ class TestLocalRuleValue:
 
     @pytest.mark.parametrize("q", [1, 2, 256, 257, 65536, 65537, 2**32, 2**32 + 1, 2**63])
     def test_sequences_and_arrays_store_the_same_bytes(self, q):
-        """A tuple and a list, checked in pure Python, and an ndarray,
-        checked by numpy, give one rule.  On the neighborhood with no
-        offsets the table is the one entry q - 1, so each q sits at the
-        edge of an entry width: 256 and 257 are the last uint8 and the
-        first uint16 alphabets."""
-        forms = [(q - 1,), [q - 1], np.array([q - 1]), np.array([q - 1], dtype=np.uint64)]
+        """A tuple, a list, an ndarray and a numpy scalar give one rule:
+        an array or scalar is read as its entries, and every form is
+        checked in pure Python.  On the neighborhood with no offsets the
+        table is the one entry q - 1, so each q sits at the edge of an
+        entry width: 256 and 257 are the last uint8 and the first uint16
+        alphabets."""
+        forms = [(q - 1,), [q - 1], np.array([q - 1]), np.array([q - 1], dtype=np.uint64), np.uint64(q - 1)]
         rules = [LocalRule(Alphabet(q), Neighborhood.line(), table) for table in forms]
         first = rules[0]
         assert all(r == first and hash(r) == hash(first) and r._bytes == first._bytes for r in rules)

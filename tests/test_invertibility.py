@@ -53,6 +53,7 @@ from acainvert.nakamura import build_bar_pair, verify_theorem1
 from conftest import assert_like_public_window, sha256_of
 from naive_oracles import (
     all_tables,
+    fully_candidate_cells,
     naive_candidate,
     naive_check_fully,
     naive_check_purely,
@@ -61,6 +62,7 @@ from naive_oracles import (
     naive_least_path,
     naive_least_purely_witness,
     naive_purely_certificate,
+    naive_synchronous_inverse,
 )
 from test_nakamura import bar_pair_inputs, bar_table_inputs, planar_inputs, shift_pair
 
@@ -403,6 +405,53 @@ def test_uncapped_fully_reports_golden_digest():
         assert {None, "eq2-delta", "eq2-gamma"} <= clauses, (q, radius)
         docs += [r.to_dict() for r in reports]
     assert sha256_of(docs) == "b63ac912941d3788626a140abc2214dd1b9935cca345b19cb2a38054bce17a3a"
+
+
+REVERSIBLE_ECA = (15, 51, 85, 170, 204, 240)
+
+
+def fully_bar_eca_pairs():
+    """The 36 ordered pairs of the reversible ECAs and 300 other distinct
+    ECA pairs, seeded."""
+    pairs = list(itertools.product(REVERSIBLE_ECA, repeat=2))
+    rng = random.Random(19)
+    others = set()
+    while len(others) < 300:
+        pair = (rng.randrange(256), rng.randrange(256))
+        if pair not in pairs:
+            others.add(pair)
+    return pairs + sorted(others)
+
+
+def test_fully_check_of_bar_pairs_matches_the_synchronous_premise():
+    """The paper's first result under the fully scheme: the bar pair of
+    (C, G) is fully invertible exactly when G and C undo each other
+    synchronously, and otherwise fails with an eq2-delta witness.  The
+    default cap refuses every bar pair (q′ = 12, 3,459 test cells)."""
+    invertible = []
+    for a, b in fully_bar_eca_pairs():
+        C, G = eca_from_wolfram(a), eca_from_wolfram(b)
+        pair = build_bar_pair(C, G)
+        report = check_inverse_fully_1d(pair.forward, pair.backward, cap=1 << 10**6)
+        premise = naive_synchronous_inverse((-1, 0, 1), 2, C.table, G.table)
+        assert (report.verdict is Verdict.INVERTIBLE) == premise, (a, b)
+        if premise:
+            invertible.append((a, b))
+        else:
+            assert report.verdict is Verdict.NOT_INVERTIBLE and report.witness.clause == "eq2-delta", (a, b)
+    assert sorted(invertible) == [(15, 85), (51, 51), (85, 15), (170, 240), (204, 204), (240, 170)]
+
+
+@pytest.mark.parametrize("a, b", [(110, 110), (30, 30), (0, 255)])
+def test_fully_bar_pair_witnesses_replay(a, b):
+    """The eq2-delta witness of a false pair's bar pair replays through
+    ``core.step``: the forward bar rule fixes the window at 0, and the
+    backward bar rule fixes it at none of the 3,457 candidate cells."""
+    pair = build_bar_pair(eca_from_wolfram(a), eca_from_wolfram(b))
+    report = check_inverse_fully_1d(pair.forward, pair.backward, cap=1 << 10**6)
+    candidates = fully_candidate_cells((-1, 0, 1), pair.forward.q)
+    assert len(candidates) == 3457
+    replay_witness(pair.forward, pair.backward, report, candidates)
 
 
 def golden_purely_pairs():

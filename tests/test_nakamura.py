@@ -335,7 +335,8 @@ def test_tables_match_naive_oracle(index):
 def test_bar_pairs_wider_than_uint8(q):
     """The shift pair x + 1, x - 1 (mod q) on N = (0,): its bar alphabets
     have 300 and 768 states, so bar codes computed from base table entries
-    overflow the base tables' uint8 dtype unless widened first."""
+    overflow the base tables' uint8 dtype unless widened first, and the bar
+    tables are stored in 2-byte entries."""
     shift = LocalRule(Alphabet(q), Neighborhood.line(0), [(x + 1) % q for x in range(q)])
     unshift = LocalRule(Alphabet(q), Neighborhood.line(0), [(x - 1) % q for x in range(q)])
     pair = build_bar_pair(shift, unshift)
@@ -344,6 +345,10 @@ def test_bar_pairs_wider_than_uint8(q):
     assert offsets == (0,)
     assert pair.forward.table == forward
     assert pair.backward.table == backward
+    # the tables stored as built are the bytes LocalRule checks and stores, at 2-byte entries
+    for rule, table in ((pair.forward, forward), (pair.backward, backward)):
+        checked = LocalRule(rule.alphabet, rule.neighborhood, table)
+        assert rule == checked and rule._bytes == checked._bytes and len(rule._bytes) == 2 * len(table)
     assert check_inverse_purely(pair.forward, pair.backward).verdict is Verdict.INVERTIBLE
     assert check_inverse_purely(pair.backward, pair.forward).verdict is Verdict.INVERTIBLE
 
@@ -383,24 +388,51 @@ def test_backward_table_is_the_swapped_forward_table_in_reversed_time(index):
         assert backward[idx] == sigma[swapped[mirrored]], (idx, codes)
 
 
-def ring_advances(C, G, seed):
-    """Run the forward bar rule of (C, G) for 400 purely asynchronous steps
-    at p = 1/2 on a 9-cell ring, from ``embed_ring`` at stamp 0 of seeded
-    base states.  Returns the base states, the curr each cell writes at
-    each of its advances, in order, the bar pair and the last bar codes."""
+def ring_advances(C, G, seed, scheme, steps):
+    """Run the forward bar rule of (C, G) for ``steps`` asynchronous steps
+    of ``scheme`` (purely at p = 1/2) on a 9-cell ring, from ``embed_ring``
+    at stamp 0 of seeded base states.  Returns the base states, the curr
+    each cell writes at each of its advances, in order, the bar pair and
+    the last bar codes."""
     q = C.q
     pair = build_bar_pair(C, G)
     rng = random.Random(seed)
     states = tuple(rng.randrange(q) for _ in range(9))
     codes = tuple(encode_bar_state(q, s) for s in embed_ring(states, G, 0))
     written = [[] for _ in codes]
-    for step in simulate(pair.forward, codes, "purely", 400, seed, p=0.5).steps:
+    for step in simulate(pair.forward, codes, scheme, steps, seed, p=0.5).steps:
         for cell, (was, now) in enumerate(zip(codes, step.states)):
             # the forward rule changes a code only by advancing it
             if was != now:
                 written[cell].append(decode_bar_state(q, now).curr)
         codes = step.states
     return states, written, pair, codes
+
+
+def assert_follows_the_synchronous_orbit(C, states, written, least):
+    """Every cell advanced at least ``least`` times, and its t-th advance
+    wrote the cell's state at step t of C's synchronous orbit."""
+    offsets, table = _plain(C)
+    orbit = [states]
+    while len(orbit) <= max(map(len, written)):
+        orbit.append(step_ring(offsets, C.q, table, orbit[-1], range(len(states))))
+    for cell, currs in enumerate(written):
+        assert len(currs) >= least
+        assert currs == [row[cell] for row in orbit[1 : len(currs) + 1]]
+
+
+def assert_frozen(pair, written, last):
+    """No cell advanced more than three times, and the last codes are a
+    fixed point of the forward bar rule."""
+    assert max(map(len, written)) <= 3
+    offsets, table = _plain(pair.forward)
+    assert step_ring(offsets, pair.forward.q, table, last, range(len(last))) == last
+
+
+def false_pair(name):
+    """The padded pair of ``bar_table_inputs()``, or the self-pair of an
+    ECA named by its number: pairs that are not synchronous inverses."""
+    return bar_table_inputs()[-1] if name == "padded" else (eca_from_wolfram(int(name)),) * 2
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -410,14 +442,18 @@ def test_bar_ring_of_an_inverse_pair_follows_the_synchronous_orbit(index, seed):
     writes the cell's state at step t of C's synchronous orbit, and every
     cell keeps advancing: at least 100 times in 400 steps."""
     C, G = bar_pair_inputs()[index]
-    states, written, _, _ = ring_advances(C, G, seed)
-    offsets, table = _plain(C)
-    orbit = [states]
-    while len(orbit) <= max(map(len, written)):
-        orbit.append(step_ring(offsets, C.q, table, orbit[-1], range(len(states))))
-    for cell, currs in enumerate(written):
-        assert len(currs) >= 100
-        assert currs == [row[cell] for row in orbit[1 : len(currs) + 1]]
+    states, written, _, _ = ring_advances(C, G, seed, "purely", 400)
+    assert_follows_the_synchronous_orbit(C, states, written, 100)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("index", range(len(bar_pair_inputs())))
+def test_fully_bar_ring_of_an_inverse_pair_follows_the_synchronous_orbit(index, seed):
+    """The same under the fully scheme, one cell at a time: in 3,600 steps
+    every cell advances at least 150 times (172-194 on these seeds)."""
+    C, G = bar_pair_inputs()[index]
+    states, written, _, _ = ring_advances(C, G, seed, "fully", 3600)
+    assert_follows_the_synchronous_orbit(C, states, written, 150)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -429,11 +465,18 @@ def test_bar_ring_of_a_false_pair_freezes(name, seed):
     forward bar rule.  Over seeds 0-299, (110, 110) reads three advances
     at 12 seeds (seed 8 among them) and two or fewer at the rest; the padded
     pair never more than two."""
-    C, G = bar_table_inputs()[-1] if name == "padded" else (eca_from_wolfram(110),) * 2
-    _, written, pair, last = ring_advances(C, G, seed)
-    assert max(map(len, written)) <= 3
-    offsets, table = _plain(pair.forward)
-    assert step_ring(offsets, pair.forward.q, table, last, range(len(last))) == last
+    _, written, pair, last = ring_advances(*false_pair(name), seed, "purely", 400)
+    assert_frozen(pair, written, last)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["padded", "110", "30"])
+def test_fully_bar_ring_of_a_false_pair_freezes(name, seed):
+    """The same under the fully scheme, in 3,600 steps.  Over seeds 0-9 the
+    most advances of a cell are 3 for (110, 110), 4 for (30, 30) (at seed
+    8) and 2 for the padded pair, and every run freezes."""
+    _, written, pair, last = ring_advances(*false_pair(name), seed, "fully", 3600)
+    assert_frozen(pair, written, last)
 
 
 @pytest.mark.parametrize("name", ["shift-q2", "110", "30"])
